@@ -1,10 +1,14 @@
 """Channel-level causality decisions.
 
-The decision procedure is exact: a channel blocks signaling from B to A iff
-its Choi state, traced over B, factorizes as (state on R,A) (x) (identity on
-B's reference). The heuristic witness search is a complement, never a
-substitute: absence of a found witness proves nothing, presence of one is a
-working signaling protocol.
+Both deciders read one tensor: the channel's Choi state traced over the
+sender's output, contracted straight from the stacked Kraus operators. The
+semicausality test is exact: a channel blocks signaling from B to A iff that
+marginal factorizes as (operator on A's input and output) (x) (identity on
+B's input). The witness scan is exact too: the receiver's output is linear in
+the product input, and the probe states |i>, (|i>+|j>)/sqrt(2) and
+(|i>+i|j>)/sqrt(2) span each side's operator space, so some probe pair
+separates the receiver's outputs iff the channel signals. A returned witness
+is a working signaling protocol that replays on the Kraus operators.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -14,22 +18,13 @@ simulations as explicit branch probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .channels import ChoiState, KrausChannel, choi
-from .linalg import (
-    ATOL,
-    BiDims,
-    frobenius,
-    is_unitary,
-    operator_schmidt,
-    partial_trace,
-    tensor_product,
-    trace_distance,
-)
+from .channels import KrausChannel
+from .linalg import ATOL, BiDims, frobenius, is_unitary, operator_schmidt, trace_distance
 
 B_TO_A = "BtoA"
 A_TO_B = "AtoB"
@@ -60,47 +55,50 @@ class CausalityVerdict:
         return self.b_to_a_blocked and self.a_to_b_blocked
 
 
-def _choi_marginal(c: ChoiState, direction: str) -> np.ndarray:
-    """Trace the acting-side factor out of the Choi state.
+def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
+    """The Choi state traced over the sender's output, as a 6-index tensor.
 
-    For B->A the result lives on (R, A, S); for A->B on (R, B, S).
+    Indices are (receiver input, sender input, receiver output) for the ket
+    and the same three for the bra, with x the sender's output:
+    ``t[r, s, o, r', s', o'] = sum_k,x K_k[(o, x), (r, s)] conj(K_k[(o', x), (r', s')])``
+    with A's indices first inside each Kraus operator.
     """
-    na, nb = c.dims
-    t = c.matrix.reshape(na, na, nb, nb, na, na, nb, nb)
+    na, nb = ch.dims
+    t = ch.stacked().reshape(-1, na, nb, na, nb)  # (k, out A, out B, in A, in B)
     if direction == B_TO_A:
-        return np.trace(t, axis1=2, axis2=6).reshape(na * na * nb, na * na * nb)
-    if direction == A_TO_B:
-        return np.trace(t, axis1=1, axis2=5).reshape(na * nb * nb, na * nb * nb)
-    raise ValueError(f"direction must be {B_TO_A!r} or {A_TO_B!r}, got {direction!r}")
+        x = t.transpose(0, 2, 3, 4, 1)  # (k, out B, in A, in B, out A)
+    elif direction == A_TO_B:
+        x = t.transpose(0, 1, 4, 3, 2)  # (k, out A, in B, in A, out B)
+    else:
+        raise ValueError(f"direction must be {B_TO_A!r} or {A_TO_B!r}, got {direction!r}")
+    shape = x.shape[2:]
+    x = x.reshape(x.shape[0] * x.shape[1], -1)
+    return (x.T @ x.conj()).reshape(shape + shape)
 
 
 def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool:
     """Exact decision whether the channel blocks signaling along ``direction``.
 
-    B->A: the B-traced Choi marginal must equal (reduced state on R,A) (x) I/dim_b
-    on B's reference factor; A->B is the mirrored test. Tolerance is scaled by
-    the marginal's dimension.
+    The Choi marginal must equal (its reduction to the receiver's input and
+    output) (x) I/d_send on the sender's input. Tolerance is scaled by the
+    marginal's dimension.
     """
-    na, nb = ch.dims
-    marg = _choi_marginal(choi(ch), direction)
-    if direction == B_TO_A:
-        ra = partial_trace(marg, BiDims(na * na, nb), "B")
-        expected = tensor_product(ra, np.eye(nb, dtype=complex) / nb)
-    else:
-        bs = partial_trace(marg, BiDims(na, nb * nb), "A")
-        expected = tensor_product(np.eye(na, dtype=complex) / na, bs)
-    return frobenius(marg - expected) < tol * marg.shape[0]
+    t = _marginal(ch, direction)
+    d_send = t.shape[1]
+    reduced = np.einsum("rsoRsO->roRO", t)
+    expected = np.einsum("roRO,sS->rsoRSO", reduced, np.eye(d_send) / d_send)
+    return frobenius(t - expected) < tol * math.prod(t.shape[:3])
 
 
-def causal_test(ch: KrausChannel, budget: int = 32, seed: int = 0) -> CausalityVerdict:
-    """Run the exact test in both directions; attach a searched witness on failure."""
+def causal_test(ch: KrausChannel) -> CausalityVerdict:
+    """Run the exact test in both directions; attach a scanned witness on failure."""
     b_to_a = semicausal_test(ch, B_TO_A)
     a_to_b = semicausal_test(ch, A_TO_B)
     witness = None
     if not b_to_a:
-        witness = signaling_search(ch, B_TO_A, budget=budget, seed=seed)
+        witness = signaling_search(ch, B_TO_A)
     if witness is None and not a_to_b:
-        witness = signaling_search(ch, A_TO_B, budget=budget, seed=seed)
+        witness = signaling_search(ch, A_TO_B)
     return CausalityVerdict(b_to_a, a_to_b, witness)
 
 
@@ -118,58 +116,46 @@ def _receiver_output(kraus_stack: np.ndarray, dims: BiDims, direction: str,
     return np.einsum("kab,kac->bc", w, w.conj())
 
 
-def _unpack(x: np.ndarray, d_recv: int, d_send: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    def take(lo, d):
-        v = x[lo:lo + d] + 1j * x[lo + d:lo + 2 * d]
-        norm = np.linalg.norm(v)
-        return v / norm if norm > 1e-12 else np.eye(d)[0].astype(complex)
+def _ic_probes(d: int) -> np.ndarray:
+    """d**2 pure states whose projectors span the d x d matrices, one per row:
+    |i>, then (|i>+|j>)/sqrt(2) and (|i>+i|j>)/sqrt(2) for each i < j."""
+    eye = np.eye(d, dtype=complex)
+    states = list(eye)
+    for i in range(d):
+        for j in range(i + 1, d):
+            states += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
+    return np.array(states)
 
-    phi = take(0, d_recv)
-    psi = take(2 * d_recv, d_send)
-    psi_prime = take(2 * d_recv + 2 * d_send, d_send)
-    return phi, psi, psi_prime
 
+def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
+    """Exhaustive scan for a signaling protocol along ``direction``.
 
-def signaling_search(ch: KrausChannel, direction: str, budget: int = 32, seed: int = 0,
-                     early_stop: float | None = None) -> SignalWitness | None:
-    """Heuristic maximization of the receiver's trace-distance separation.
-
-    Multi-start local search (Nelder-Mead) over pure product preparations with
-    ``budget`` restarts from a seeded generator; deterministic for a fixed seed
-    (best value, then lowest restart index). Returns a witness only when the
-    best separation exceeds the reporting threshold; returning nothing is NOT
-    a semicausality proof (the exact test is), finding a witness is a proof
-    of signaling.
+    Every receiver probe meets every pair of sender probes (:func:`_ic_probes`);
+    the receiver probe and sender pair whose outputs lie furthest apart in
+    trace distance make the witness, first in index order on ties. Its
+    separation is recomputed from the Kraus operators, so it replays. Returns
+    nothing when the best separation is at most ``SEARCH_THRESHOLD``: the
+    channel then blocks signaling, or signals so weakly that no probe pair
+    shows it above that threshold.
     """
-    na, nb = ch.dims
-    d_recv, d_send = (na, nb) if direction == B_TO_A else (nb, na)
+    t = _marginal(ch, direction)
+    recv, send = _ic_probes(t.shape[0]), _ic_probes(t.shape[1])
+    out = np.einsum("pr,pR,rsoRSO,qs,qS->pqoO", recv, recv.conj(), t, send, send.conj(),
+                    optimize=True)
+    i, j = np.triu_indices(len(send), 1)
+    best, p, q, q_alt = 0.0, 0, 0, 0
+    for k, row in enumerate(out):
+        dist = 0.5 * np.abs(np.linalg.eigvalsh(row[i] - row[j])).sum(axis=-1)
+        if dist.size and dist.max() > best:
+            m = int(dist.argmax())
+            best, p, q, q_alt = dist[m], k, i[m], j[m]
     stack = ch.stacked()
-    dims = ch.dims
-
-    def objective(x: np.ndarray) -> float:
-        phi, psi, psi_prime = _unpack(x, d_recv, d_send)
-        out = _receiver_output(stack, dims, direction, phi, psi)
-        out_p = _receiver_output(stack, dims, direction, phi, psi_prime)
-        return -trace_distance(out, out_p)
-
-    rng = np.random.default_rng(seed)
-    n_params = 2 * d_recv + 4 * d_send
-    best: tuple[float, int, np.ndarray] | None = None
-    for restart in range(budget):
-        x0 = rng.standard_normal(n_params)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": 400 * n_params // 10, "xatol": 1e-7, "fatol": 1e-10})
-        value = -res.fun
-        if best is None or value > best[0] + 1e-15:
-            best = (value, restart, res.x)
-        if early_stop is not None and best[0] > early_stop:
-            break
-    assert best is not None
-    value, _, x = best
-    if value <= SEARCH_THRESHOLD:
+    phi, psi, psi_prime = recv[p], send[q], send[q_alt]
+    separation = trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),
+                                _receiver_output(stack, ch.dims, direction, phi, psi_prime))
+    if separation <= SEARCH_THRESHOLD:
         return None
-    phi, psi, psi_prime = _unpack(x, d_recv, d_send)
-    return SignalWitness(direction, phi, psi, psi_prime, float(value))
+    return SignalWitness(direction, phi, psi, psi_prime, float(separation))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import ATOL, BiDims, as_matrix, dag, frobenius, kron_all, mat_close, max_entangled
+from .linalg import ATOL, BiDims, as_matrix, dag, frobenius, mat_close
 
 
 @dataclass(frozen=True)
@@ -111,23 +111,16 @@ def identity_channel(dims: BiDims) -> KrausChannel:
     return KrausChannel((np.eye(dims.total, dtype=complex),), dims)
 
 
-def _probe_vector(dims: BiDims) -> np.ndarray:
-    # |Phi>_RA (x) |Phi'>_BS in (R, A, B, S) factor order, unnormalized.
-    return kron_all(max_entangled(dims.dim_a, normalized=False).reshape(-1, 1),
-                    max_entangled(dims.dim_b, normalized=False).reshape(-1, 1)).reshape(-1)
-
-
 def choi(ch: KrausChannel) -> ChoiState:
-    """Choi state from unnormalized entangled probes on both factors."""
+    """Choi state from unnormalized entangled probes on both factors.
+
+    (I_R (x) K (x) I_S) applied to the probes is K's entries reordered to
+    (R, A, B, S), so each Kraus operator's Choi vector is a reshuffle of it.
+    """
     na, nb = ch.dims
-    probe = _probe_vector(ch.dims)
-    ir = np.eye(na, dtype=complex)
-    i_s = np.eye(nb, dtype=complex)
-    out = np.zeros((probe.size, probe.size), dtype=complex)
-    for k in ch.kraus:
-        v = kron_all(ir, k, i_s) @ probe
-        out += np.outer(v, v.conj())
-    return ChoiState(out, ch.dims)
+    v = ch.stacked().reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
+    v = v.reshape(len(ch.kraus), -1)
+    return ChoiState(v.T @ v.conj(), ch.dims)
 
 
 def choi_of_map(f: Callable[[np.ndarray], np.ndarray], dims: BiDims) -> ChoiState:
@@ -154,10 +147,6 @@ def choi_distance(c1: ChoiState, c2: ChoiState) -> float:
     if c1.dims != c2.dims:
         raise ValueError("choi states have different dims")
     return frobenius(c1.matrix - c2.matrix)
-
-
-def channels_equal(e1: KrausChannel, e2: KrausChannel, tol: float = ATOL) -> bool:
-    return choi_distance(choi(e1), choi(e2)) < tol
 
 
 def measurement_channel(basis) -> KrausChannel:

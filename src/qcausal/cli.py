@@ -64,9 +64,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 2
     try:
         if isinstance(obj, OrthogonalBasis):
-            report = classify_basis(obj, seed=args.seed, tol=args.tol)
+            report = classify_basis(obj, tol=args.tol)
         else:
-            report = classify_channel(obj, seed=args.seed, tol=args.tol)
+            report = classify_channel(obj, tol=args.tol)
     except ValueError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 3
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify a channel or basis JSON file")
     p_classify.add_argument("path", help="input file (bundled fixture names also work)")
     p_classify.add_argument("--json", action="store_true", help="machine-readable output")
-    p_classify.add_argument("--seed", type=int, default=0)
     p_classify.add_argument("--tol", type=float, default=1e-9,
                             help="matrix comparison tolerance")
     p_classify.set_defaults(func=_cmd_classify)

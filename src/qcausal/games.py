@@ -192,13 +192,6 @@ def channel_game_value(ch: KrausChannel) -> float:
     return p / 4
 
 
-def is_unlocalizable_by_game_value(ch: KrausChannel, tol: float = ATOL) -> tuple[bool, float]:
-    """Game-value certificate: a value above the quantum bound rules out any
-    zero-communication implementation."""
-    value = channel_game_value(ch)
-    return value > CIRELSON_VALUE + tol, value
-
-
 def ip_demo(x: str, y: str, seed: int = 0) -> int:
     """Bitwise-AND inner product via sampled AND-box runs plus one classical bit.
 

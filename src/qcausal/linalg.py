@@ -160,7 +160,7 @@ def schmidt_vectors(v, dims: BiDims, cutoff: float = SUPPORT_CUTOFF):
     dims.check(vec.shape[0])
     u, s, vh = np.linalg.svd(vec.reshape(dims.dim_a, dims.dim_b))
     keep = s > cutoff
-    return s[keep], [u[:, k] for k in np.nonzero(keep)[0]], [vh[k, :].conj() for k in np.nonzero(keep)[0]]
+    return s[keep], [u[:, k] for k in np.nonzero(keep)[0]], [vh[k, :] for k in np.nonzero(keep)[0]]
 
 
 def fix_phase(v: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, complex]:
@@ -240,13 +240,6 @@ def is_unitary(m: np.ndarray, tol: float = ATOL) -> bool:
 
 def min_singular_value(m: np.ndarray) -> float:
     return float(np.linalg.svd(as_matrix(m), compute_uv=False)[-1])
-
-
-def is_psd(m: np.ndarray, tol: float = ATOL) -> bool:
-    mat = as_matrix(m)
-    if frobenius(mat - dag(mat)) > tol * max(1.0, frobenius(mat)):
-        return False
-    return bool(np.linalg.eigvalsh((mat + dag(mat)) / 2).min() > -tol * mat.shape[0])
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

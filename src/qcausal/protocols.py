@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .causality import A_TO_B, B_TO_A
 from .channels import KrausChannel
 from .linalg import (
     BiDims,
@@ -40,9 +41,6 @@ from .measurements import (
     bell_states,
     semicausal_structure,
 )
-
-A_TO_B = "AtoB"
-B_TO_A = "BtoA"
 
 
 @dataclass(frozen=True)
@@ -242,12 +240,6 @@ def sample_semilocal_outcomes(basis: OrthogonalBasis, rho: np.ndarray, n: int,
 # ---------------------------------------------------------------------------
 # Bell decoherence from local circuits on a shared entangled ancilla
 # ---------------------------------------------------------------------------
-
-def _embed_single(op: np.ndarray, n: int, q: int) -> np.ndarray:
-    mats = [I2] * n
-    mats[q] = op
-    return kron_all(*mats)
-
 
 def _cnot(n: int, control: int, target: int) -> np.ndarray:
     p0 = np.array([[1, 0], [0, 0]], dtype=complex)

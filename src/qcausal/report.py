@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import localizability as loc
-from .causality import A_TO_B, B_TO_A, SignalWitness, semicausal_test, signaling_search
+from .causality import (
+    A_TO_B,
+    B_TO_A,
+    SEARCH_THRESHOLD,
+    SignalWitness,
+    semicausal_test,
+    signaling_search,
+)
 from .channels import KrausChannel, choi, choi_distance, measurement_channel, validate
 from .games import CIRELSON_VALUE, channel_game_value
 from .linalg import BiDims, tensor_product
@@ -112,8 +119,7 @@ def _serialize_certificate(cert: loc.ObstructionCertificate) -> dict:
     return doc
 
 
-def classify_basis(basis: OrthogonalBasis, seed: int = 0,
-                   tol: float = 1e-9) -> ClassificationReport:
+def classify_basis(basis: OrthogonalBasis, tol: float = 1e-9) -> ClassificationReport:
     """Full classification of a complete orthogonal measurement basis."""
     ch = measurement_channel(basis)
     tp = validate(ch, tol)
@@ -124,7 +130,7 @@ def classify_basis(basis: OrthogonalBasis, seed: int = 0,
         verdict = semicausal_basis_test(basis, side, tol)
         choi_verdict = semicausal_test(ch, direction, tol)
         if verdict.semicausal != choi_verdict:
-            raise RuntimeError(f"criteria disagree on side {side}; numerical failure")
+            raise ValueError(f"criteria disagree on side {side}; numerical failure")
         entry = VerdictEntry(verdict.semicausal, f"{PAIRWISE_CRITERION}+{CHOI_CRITERION}")
         if not verdict.semicausal:
             entry.witness = _serialize_basis_witness(basis_signaling_witness(basis, side))
@@ -218,8 +224,7 @@ def _attach_game_value(report: ClassificationReport, ch: KrausChannel) -> None:
         report.localizability = "not localizable (game-value certificate)"
 
 
-def classify_channel(ch: KrausChannel, seed: int = 0, budget: int = 32,
-                     tol: float = 1e-9) -> ClassificationReport:
+def classify_channel(ch: KrausChannel, tol: float = 1e-9) -> ClassificationReport:
     """Full classification of a Kraus channel."""
     tp = validate(ch, tol)
     report = ClassificationReport("channel", ch.dims, tp.tp, tp.deviation)
@@ -230,13 +235,14 @@ def classify_channel(ch: KrausChannel, seed: int = 0, budget: int = 32,
         blocked = semicausal_test(ch, direction, tol)
         entry = VerdictEntry(blocked, CHOI_CRITERION)
         if not blocked:
-            found = signaling_search(ch, direction, budget=budget, seed=seed)
+            found = signaling_search(ch, direction)
             if found is not None:
                 entry.witness = _serialize_search_witness(found)
             else:
                 entry.witness = {"kind": "choi-marginal-deviation",
-                                 "note": "exact criterion failed; heuristic search "
-                                         "found no witness at this budget"}
+                                 "note": "exact criterion failed; no probe pair "
+                                         "separates the receiver's outputs by more "
+                                         f"than {SEARCH_THRESHOLD:g}"}
         setattr(report, attr, entry)
 
     if not report.causal:

@@ -38,9 +38,12 @@ from qcausal.linalg import (
     HADAMARD,
     PAULI_X,
     haar_unitary,
+    partial_trace,
+    proj,
     random_density_matrix,
     random_pure_state,
     tensor_product,
+    trace_distance,
 )
 from qcausal.localizability import mismatch_basis, twisted_partition_basis
 from qcausal.measurements import (
@@ -73,7 +76,7 @@ def _report(number: int, description: str) -> None:
 def test_criterion_1_hierarchy_fixture_matrix():
     start = time.monotonic()
 
-    sorkin = classify_channel(incomplete_bell_channel(), budget=6)
+    sorkin = classify_channel(incomplete_bell_channel())
     assert sorkin.tp and sorkin.tp_deviation < TOL
     assert not sorkin.b_to_a_blocked.verdict and not sorkin.a_to_b_blocked.verdict
 
@@ -91,7 +94,7 @@ def test_criterion_1_hierarchy_fixture_matrix():
     assert mismatch.causal
     assert [c["kind"] for c in mismatch.obstructions] == ["ProjectiveGroup"]
 
-    box = classify_channel(and_box_channel(), budget=2)
+    box = classify_channel(and_box_channel())
     assert box.causal
     assert any(c["kind"] == "GameValue" for c in box.obstructions)
 
@@ -110,17 +113,28 @@ def test_criterion_2_criterion_equivalence(corpus):
             pairwise = semicausal_basis_test(basis, side).semicausal
             exact = semicausal_test(ch, direction)
             assert pairwise == exact, f"{name}/{side}: criteria disagree"
-            witness = signaling_search(ch, direction, budget=4, seed=7, early_stop=0.05)
+            witness = signaling_search(ch, direction)
             if pairwise:
                 assert witness is None, f"{name}/{side}: unsound witness"
             else:
                 assert witness is not None, f"{name}/{side}: no witness found"
                 assert witness.separation > 1e-6
+                assert abs(_replayed_separation(ch, witness) - witness.separation) < 1e-9
                 signaling_instances += 1
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"corpus equivalence took {elapsed:.1f}s"
     _report(2, f"{len(corpus)} bases, both sides: pairwise == exact == search "
                f"({signaling_instances} signaling instances, {elapsed:.1f}s)")
+
+
+def _replayed_separation(ch, w):
+    """Receiver's trace distance when the witness's protocol runs on the full channel."""
+    if w.direction == B_TO_A:
+        pair, traced = (np.kron(w.phi, w.psi), np.kron(w.phi, w.psi_prime)), "B"
+    else:
+        pair, traced = (np.kron(w.psi, w.phi), np.kron(w.psi_prime, w.phi)), "A"
+    outs = [partial_trace(apply(ch, proj(v)), ch.dims, traced) for v in pair]
+    return trace_distance(*outs)
 
 
 def test_criterion_3_unitary_product_equivalence():

@@ -1,20 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.causality import (
     A_TO_B,
     B_TO_A,
+    _marginal,
     causal_test,
     semicausal_test,
     signaling_search,
     unitary_product_test,
 )
-from qcausal.channels import KrausChannel, apply, compose, convex_mixture, measurement_channel, validate
+from qcausal.channels import (
+    KrausChannel,
+    apply,
+    compose,
+    convex_mixture,
+    identity_channel,
+    measurement_channel,
+    validate,
+)
 from qcausal.games import and_box_channel
 from qcausal.linalg import BiDims, haar_unitary, partial_trace, proj, tensor_product, trace_distance
 from qcausal.localizability import mismatch_basis
 from qcausal.linalg import HADAMARD
 from qcausal.measurements import bell_basis, conditional_basis, incomplete_bell_channel
+from qcausal.report import classify_channel
 from qcausal.twirl import bell_twirl
 
 D22 = BiDims(2, 2)
@@ -39,19 +51,20 @@ def test_conditional_basis_one_way():
 
 
 def test_causal_test_and_box():
-    verdict = causal_test(and_box_channel(), budget=2)
+    verdict = causal_test(and_box_channel())
     assert verdict.causal and verdict.witness is None
 
 
 def test_causal_test_mismatch_basis():
-    verdict = causal_test(measurement_channel(mismatch_basis()), budget=2)
-    assert verdict.causal
+    verdict = causal_test(measurement_channel(mismatch_basis()))
+    assert verdict.causal and verdict.witness is None
 
 
 def test_causal_test_incomplete_bell_attaches_witness():
-    verdict = causal_test(incomplete_bell_channel(), budget=8, seed=3)
+    verdict = causal_test(incomplete_bell_channel())
     assert not verdict.b_to_a_blocked and not verdict.a_to_b_blocked
     assert verdict.witness is not None and verdict.witness.separation > 0.4
+    assert verdict.witness.direction == B_TO_A
 
 
 def _bloch_grid_states(n=7):
@@ -77,13 +90,15 @@ def test_search_matches_grid_oracle_on_incomplete_bell():
                                partial_trace(apply(ch, rho_p), D22, "B"))
             best = max(best, d)
     assert best >= 0.4999  # the documented protocol reaches 1/2
-    w = signaling_search(ch, B_TO_A, budget=8, seed=0)
+    w = signaling_search(ch, B_TO_A)
     assert w is not None and w.separation >= 0.4
+    assert _replayed_separation(ch, w) == pytest.approx(w.separation, abs=1e-9)
 
 
 def test_search_finds_nothing_on_bell_measurement():
-    assert signaling_search(measurement_channel(bell_basis()), B_TO_A,
-                            budget=6, seed=0) is None
+    ch = measurement_channel(bell_basis())
+    assert signaling_search(ch, B_TO_A) is None
+    assert signaling_search(ch, A_TO_B) is None
 
 
 def test_search_conditional_basis_a_to_b():
@@ -94,26 +109,38 @@ def test_search_conditional_basis_a_to_b():
     out0 = partial_trace(apply(ch, proj(np.kron(e0, e0))), D22, "A")
     out1 = partial_trace(apply(ch, proj(np.kron(e1, e0))), D22, "A")
     assert abs(trace_distance(out0, out1) - 0.5) < 1e-12
-    w = signaling_search(ch, A_TO_B, budget=8, seed=0)
+    w = signaling_search(ch, A_TO_B)
     assert w is not None and w.separation >= 0.4
+    assert _replayed_separation(ch, w) == pytest.approx(w.separation, abs=1e-9)
 
 
-def test_search_witness_replays(rng):
+def _replayed_separation(ch, w):
+    """Receiver's trace distance when the witness's protocol runs on the full channel."""
+    if w.direction == B_TO_A:
+        rho, rho_p = proj(np.kron(w.phi, w.psi)), proj(np.kron(w.phi, w.psi_prime))
+        traced = "B"
+    else:
+        rho, rho_p = proj(np.kron(w.psi, w.phi)), proj(np.kron(w.psi_prime, w.phi))
+        traced = "A"
+    return trace_distance(partial_trace(apply(ch, rho), ch.dims, traced),
+                          partial_trace(apply(ch, rho_p), ch.dims, traced))
+
+
+def test_search_witness_replays():
     ch = incomplete_bell_channel()
-    w = signaling_search(ch, B_TO_A, budget=6, seed=1)
-    rho = proj(np.kron(w.phi, w.psi))
-    rho_p = proj(np.kron(w.phi, w.psi_prime))
-    d = trace_distance(partial_trace(apply(ch, rho), D22, "B"),
-                       partial_trace(apply(ch, rho_p), D22, "B"))
-    assert abs(d - w.separation) < 1e-9
+    for direction in (B_TO_A, A_TO_B):
+        w = signaling_search(ch, direction)
+        assert w.direction == direction and w.separation >= 0.4
+        assert abs(_replayed_separation(ch, w) - w.separation) < 1e-9
 
 
-def test_search_deterministic_for_fixed_seed():
+def test_search_deterministic():
     ch = incomplete_bell_channel()
-    w1 = signaling_search(ch, B_TO_A, budget=4, seed=9)
-    w2 = signaling_search(ch, B_TO_A, budget=4, seed=9)
+    w1 = signaling_search(ch, B_TO_A)
+    w2 = signaling_search(ch, B_TO_A)
     assert w1.separation == w2.separation
-    assert np.array_equal(w1.phi, w2.phi)
+    for a, b in ((w1.phi, w2.phi), (w1.psi, w2.psi), (w1.psi_prime, w2.psi_prime)):
+        assert np.array_equal(a, b)
 
 
 def test_unitary_product_detection(rng):
@@ -200,9 +227,10 @@ def test_one_way_conditional_channels(rng):
             assert semicausal_test(ch, B_TO_A)
             assert not semicausal_test(ch, A_TO_B)
     ch = _one_way_conditional_channel(D22, rng)
-    w = signaling_search(ch, A_TO_B, budget=8, seed=4)
+    w = signaling_search(ch, A_TO_B)
     assert w is not None and w.separation > 1e-6
-    assert signaling_search(ch, B_TO_A, budget=4, seed=4) is None
+    assert abs(_replayed_separation(ch, w) - w.separation) < 1e-9
+    assert signaling_search(ch, B_TO_A) is None
 
 
 def test_product_channels_block_both_directions(rng):
@@ -240,3 +268,76 @@ def test_random_channels_have_psd_choi_and_consistent_constructions(rng):
         assert choi_is_psd(c)
         assert abs(np.trace(c.matrix) - n) < 1e-9
         assert choi_distance(c, choi_of_map(lambda x: apply(ch, x), dims)) < 1e-9
+
+
+def _random_kraus(dims, k, rng):
+    n = dims.total
+    z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return KrausChannel(tuple(_normalize_kraus(z)), dims)
+
+
+def test_choi_marginal_matches_choi_of_map_oracle(rng):
+    from qcausal.channels import choi_of_map
+
+    for dims in (D22, BiDims(2, 3), BiDims(3, 2)):
+        na, nb = dims
+        ch = _random_kraus(dims, 2, rng)
+        # factors R, A, B, S for ket and bra; R probes A's input, S probes B's
+        full = choi_of_map(lambda x: apply(ch, x), dims).matrix.reshape(
+            na, na, nb, nb, na, na, nb, nb)
+        # (receiver input, sender input, receiver output) with the acting side traced
+        assert np.abs(_marginal(ch, B_TO_A) - np.einsum("rabsRAbS->rsaRSA", full)).max() < 1e-12
+        assert np.abs(_marginal(ch, A_TO_B) - np.einsum("rabsRaBS->srbSRB", full)).max() < 1e-12
+
+
+def _one_way_channel(dims, blocked, rng):
+    """The sender of the blocked direction measures; the other side applies
+    a unitary picked by the outcome, so only that other side's input signals."""
+    if blocked == B_TO_A:
+        return _one_way_conditional_channel(dims, rng)
+    na, nb = dims
+    ub = haar_unitary(nb, rng)
+    return KrausChannel(tuple(tensor_product(haar_unitary(na, rng), np.outer(ub[:, k], ub[:, k].conj()))
+                              for k in range(nb)), dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4),
+       st.sampled_from(["kraus", "product", "blocks-BtoA", "blocks-AtoB"]),
+       st.integers(0, 2**32 - 1))
+def test_scan_finds_witness_iff_exact_test_signals(na, nb, kind, seed):
+    rng = np.random.default_rng(seed)
+    dims = BiDims(na, nb)
+    if kind == "kraus":
+        ch = _random_kraus(dims, int(rng.integers(1, 4)), rng)
+    elif kind == "product":
+        local_a = _random_kraus(BiDims(na, 1), 2, rng).kraus
+        local_b = _random_kraus(BiDims(1, nb), 2, rng).kraus
+        ch = KrausChannel(tuple(tensor_product(a, b) for a in local_a for b in local_b), dims)
+    else:
+        ch = _one_way_channel(dims, kind.removeprefix("blocks-"), rng)
+    # a random local frame before and after the channel changes no verdict
+    pre = tensor_product(haar_unitary(na, rng), haar_unitary(nb, rng))
+    post = tensor_product(haar_unitary(na, rng), haar_unitary(nb, rng))
+    ch = KrausChannel(tuple(post @ k @ pre for k in ch.kraus), dims)
+    for direction in (B_TO_A, A_TO_B):
+        blocked = semicausal_test(ch, direction)
+        w = signaling_search(ch, direction)
+        assert (w is None) == blocked, f"{kind} {dims} {direction}"
+        if w is not None:
+            assert w.separation > 1e-6
+            assert abs(_replayed_separation(ch, w) - w.separation) < 1e-9
+    if kind == "product":
+        assert semicausal_test(ch, B_TO_A) and semicausal_test(ch, A_TO_B)
+    elif kind.startswith("blocks-"):
+        assert semicausal_test(ch, kind.removeprefix("blocks-"))
+
+
+def test_signaling_below_the_witness_bar_keeps_the_fallback():
+    # sorkin at weight 1e-6 signals, but no protocol separates by more than 5e-7
+    ch = convex_mixture([identity_channel(D22), incomplete_bell_channel()], [1 - 1e-6, 1e-6])
+    for direction, entry in ((B_TO_A, "b_to_a_blocked"), (A_TO_B, "a_to_b_blocked")):
+        assert not semicausal_test(ch, direction)
+        assert signaling_search(ch, direction) is None
+        verdict = getattr(classify_channel(ch), entry)
+        assert not verdict.verdict and verdict.witness["kind"] == "choi-marginal-deviation"

@@ -188,3 +188,13 @@ def test_bundled_fixtures_match_builders():
 
     bundled = load_document(_fixture_path("andbox.json"))
     assert choi_distance(choi(bundled), choi(and_box_channel())) < 1e-12
+
+
+def test_classify_criteria_disagreement_exits_3(monkeypatch, capsys):
+    import qcausal.report as report
+
+    monkeypatch.setattr(report, "semicausal_test", lambda ch, direction, tol: False)
+    assert main(["classify", _fixture_path("bell_basis.json")]) == 3
+    err = capsys.readouterr().err
+    assert "invariant failure: criteria disagree" in err
+    assert "Traceback" not in err

@@ -138,7 +138,7 @@ def test_and_box_marginals_maximally_mixed(rng):
 def test_and_box_wins_with_certainty_and_is_causal():
     ch = and_box_channel()
     assert channel_game_value(ch) == pytest.approx(1.0, abs=1e-12)
-    verdict = causal_test(ch, budget=2)
+    verdict = causal_test(ch)
     assert verdict.causal
 
 

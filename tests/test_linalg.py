@@ -13,6 +13,8 @@ from qcausal.linalg import (
     partial_trace,
     proj,
     random_density_matrix,
+    random_pure_state,
+    schmidt_vectors,
     tensor_product,
     trace_distance,
 )
@@ -165,3 +167,12 @@ def test_trace_distance_known_values():
     assert abs(trace_distance(proj([1, 0]), np.eye(2) / 2) - 0.5) < 1e-12
     assert abs(trace_distance(proj([1, 0]), proj([0, 1])) - 1.0) < 1e-12
     assert trace_distance(HADAMARD @ proj([1, 0]) @ HADAMARD, proj([1, 1] / np.sqrt(2))) < 1e-12
+
+
+def test_schmidt_vectors_reconstruct_complex_state(rng):
+    dims = BiDims(3, 4)
+    v = random_pure_state(dims.total, rng)
+    coeffs, a_vecs, b_vecs = schmidt_vectors(v, dims)
+    rebuilt = sum(c * np.kron(a, b) for c, a, b in zip(coeffs, a_vecs, b_vecs))
+    assert np.linalg.norm(rebuilt - v) < 1e-12
+    assert np.allclose(np.array(b_vecs).conj() @ np.array(b_vecs).T, np.eye(len(coeffs)))

@@ -3,7 +3,7 @@ import pytest
 
 from qcausal.channels import identity_channel, measurement_channel
 from qcausal.causality import causal_test
-from qcausal.linalg import BiDims, HADAMARD, PAULI_X, PAULI_Z
+from qcausal.linalg import BiDims, HADAMARD, PAULI_X, PAULI_Z, haar_unitary
 from qcausal.localizability import (
     MEBasisUnitaries,
     PreconditionError,
@@ -19,7 +19,8 @@ from qcausal.localizability import (
     projective_group_test,
     twisted_partition_basis,
 )
-from qcausal.measurements import bell_basis, bell_states, product_basis
+from qcausal.measurements import bell_basis, bell_states, causal_grid_basis, product_basis, rotate_basis
+from qcausal.report import classify_basis
 from qcausal.twirl import bell_twirl, werner_twirl
 
 D22 = BiDims(2, 2)
@@ -69,7 +70,7 @@ def test_twisted_partition_basis_shapes():
     for u in (np.eye(2), HADAMARD, PAULI_X):
         basis = twisted_partition_basis(u)
         assert basis.size == 16
-        verdict = causal_test(measurement_channel(basis), budget=2)
+        verdict = causal_test(measurement_channel(basis))
         assert verdict.causal
 
 
@@ -218,3 +219,19 @@ def test_closure_test_never_fires_on_twirl_channels():
             except PreconditionError:
                 continue
             assert cert is None
+
+
+def test_rotated_grid_with_cells_classifies(rng):
+    # cell moves are built in each state's Schmidt frames; a complex local
+    # frame must not turn them into moves between non-eigenstates
+    basis = causal_grid_basis(BiDims(4, 4), 2, rng)
+    report = classify_basis(basis)
+    assert report.causal and report.obstructions == []
+    assert report.localizability.startswith(("localizable by construction", "no obstruction found"))
+
+
+def test_rotated_twisted_basis_keeps_closure_certificate(rng):
+    basis = rotate_basis(twisted_partition_basis(HADAMARD), haar_unitary(4, rng), haar_unitary(4, rng))
+    report = classify_basis(basis)
+    assert report.causal
+    assert [c["kind"] for c in report.obstructions] == ["EigenstateClosure"]
