@@ -16,6 +16,7 @@ from .channels import (
     ChoiState,
     KrausChannel,
     apply,
+    channel_distance,
     choi,
     choi_distance,
     choi_of_map,
@@ -91,6 +92,7 @@ from .twirl import (
     ProjectiveUnitaryGroup,
     bell_twirl,
     close_group,
+    grid_twirl_channel,
     stabilizer_channel,
     tetrahedral_group,
     twirl_channel,

@@ -111,15 +111,19 @@ def identity_channel(dims: BiDims) -> KrausChannel:
     return KrausChannel((np.eye(dims.total, dtype=complex),), dims)
 
 
-def choi(ch: KrausChannel) -> ChoiState:
-    """Choi state from unnormalized entangled probes on both factors.
+def _choi_vectors(ch: KrausChannel) -> np.ndarray:
+    """One row per Kraus operator: (I_R (x) K (x) I_S) applied to the probes.
 
-    (I_R (x) K (x) I_S) applied to the probes is K's entries reordered to
-    (R, A, B, S), so each Kraus operator's Choi vector is a reshuffle of it.
+    That vector is K's entries reordered to (R, A, B, S), a reshuffle of K.
     """
     na, nb = ch.dims
     v = ch.stacked().reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
-    v = v.reshape(len(ch.kraus), -1)
+    return v.reshape(len(ch.kraus), -1)
+
+
+def choi(ch: KrausChannel) -> ChoiState:
+    """Choi state from unnormalized entangled probes on both factors."""
+    v = _choi_vectors(ch)
     return ChoiState(v.T @ v.conj(), ch.dims)
 
 
@@ -147,6 +151,21 @@ def choi_distance(c1: ChoiState, c2: ChoiState) -> float:
     if c1.dims != c2.dims:
         raise ValueError("choi states have different dims")
     return frobenius(c1.matrix - c2.matrix)
+
+
+def channel_distance(e1: KrausChannel, e2: KrausChannel) -> float:
+    """``choi_distance(choi(e1), choi(e2))`` without forming either Choi state.
+
+    The Choi difference is W^T S conj(W) for the stacked Choi vectors W of both
+    channels and signs S (+1 for e1, -1 for e2); with W^T = QR its norm is that
+    of the small R S R^dag, and no difference of large squared norms is taken.
+    """
+    if e1.dims != e2.dims:
+        raise ValueError("channels have different dims")
+    w = np.concatenate([_choi_vectors(e1), _choi_vectors(e2)])
+    r = np.linalg.qr(w.T, mode="r")
+    signs = np.repeat([1.0, -1.0], [len(e1.kraus), len(e2.kraus)])
+    return frobenius((r * signs) @ dag(r))
 
 
 def measurement_channel(basis) -> KrausChannel:

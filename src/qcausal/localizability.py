@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply_to_vector
+from .channels import KrausChannel, apply_to_vector, measurement_channel
 from .linalg import (
     ATOL,
     BiDims,
@@ -34,7 +34,13 @@ from .linalg import (
     proj,
     tensor_product,
 )
-from .measurements import OrthogonalBasis, bell_states
+from .measurements import (
+    OrthogonalBasis,
+    _frame_map_unitary,
+    _split_schmidt,
+    bell_states,
+    causal_structure,
+)
 
 EIGENSTATE_CLOSURE = "EigenstateClosure"
 PROJECTIVE_GROUP = "ProjectiveGroup"
@@ -73,7 +79,7 @@ def is_eigenstate(ch: KrausChannel, psi: np.ndarray, tol: float = ATOL) -> bool:
 
 
 def eigenstate_closure_test(ch: KrausChannel, psi: np.ndarray, a: np.ndarray,
-                            b: np.ndarray) -> ObstructionCertificate | None:
+                            b: np.ndarray, tol: float = ATOL) -> ObstructionCertificate | None:
     """Closure obstruction for a channel with eigenstate psi and local moves a, b.
 
     Premises (each failure reported distinctly): a and b invertible; psi,
@@ -91,18 +97,18 @@ def eigenstate_closure_test(ch: KrausChannel, psi: np.ndarray, a: np.ndarray,
     if min_singular_value(b) <= 1e-9:
         raise PreconditionError("operator on side B is not invertible")
     vec = normalize(psi)
-    if not is_eigenstate(ch, vec):
+    if not is_eigenstate(ch, vec, tol):
         raise PreconditionError("psi is not an eigenstate")
     moved_a = normalize(tensor_product(a, np.eye(nb)) @ vec)
-    if not is_eigenstate(ch, moved_a):
+    if not is_eigenstate(ch, moved_a, tol):
         raise PreconditionError("(a x I) psi is not an eigenstate")
     moved_b = normalize(tensor_product(np.eye(na), b) @ vec)
-    if not is_eigenstate(ch, moved_b):
+    if not is_eigenstate(ch, moved_b, tol):
         raise PreconditionError("(I x b) psi is not an eigenstate")
     joint = normalize(tensor_product(a, b) @ vec)
     out = apply_to_vector(ch, joint)
     residual = frobenius(out - proj(joint))
-    if residual < ATOL * ch.dim:
+    if residual < tol * ch.dim:
         return None
     return ObstructionCertificate(
         EIGENSTATE_CLOSURE,
@@ -267,7 +273,8 @@ def mismatch_unitaries() -> list[np.ndarray]:
     return [u for row in rows for u in row]
 
 
-def closure_obstruction_search(basis: OrthogonalBasis) -> ObstructionCertificate | None:
+def closure_obstruction_search(basis: OrthogonalBasis,
+                               tol: float = ATOL) -> ObstructionCertificate | None:
     """Search a fully causal basis for an eigenstate-closure obstruction.
 
     Probes are built from the causal grid: shifting one basis state of a cell
@@ -275,10 +282,7 @@ def closure_obstruction_search(basis: OrthogonalBasis) -> ObstructionCertificate
     between eigenstates, so closure requires the diagonal shift to land on an
     eigenstate too. Returns the first certificate found, or nothing.
     """
-    from .channels import measurement_channel
-    from .measurements import causal_structure
-
-    grid = causal_structure(basis)
+    grid = causal_structure(basis, tol)
     if grid.r_a < 2 or grid.r_b < 2:
         return None
     ch = measurement_channel(basis)
@@ -290,7 +294,7 @@ def closure_obstruction_search(basis: OrthogonalBasis) -> ObstructionCertificate
                         move_a = _cell_shift(basis, u_idx, a_idx, "A")
                         move_b = _cell_shift(basis, u_idx, b_idx, "B")
                         cert = eigenstate_closure_test(ch, basis.vectors[u_idx],
-                                                       move_a, move_b)
+                                                       move_a, move_b, tol)
                         if cert is not None:
                             return cert
     return None
@@ -301,26 +305,11 @@ def _cell_shift(basis: OrthogonalBasis, src_idx: int, dst_idx: int, side: str) -
 
     Both states must share the other side's cell; the map sends the source's
     local Schmidt frame to the frame the destination pairs with the source's
-    other-side frame, and is completed by the identity elsewhere.
+    other-side frame, and is completed arbitrarily elsewhere.
     """
-    from .linalg import schmidt_vectors
-    from .measurements import _complete_frame
-
-    dims = basis.dims
-    coeffs, a_vecs, b_vecs = schmidt_vectors(basis.vectors[src_idx], dims)
-    d = len(coeffs)
-    dst = basis.vectors[dst_idx]
-    n = dims.dim_a if side == "A" else dims.dim_b
-    sources, targets = [], []
-    mat = dst.reshape(dims.dim_a, dims.dim_b)
-    for k in range(d):
-        if side == "A":
-            rel = mat @ b_vecs[k].conj() / coeffs[k]
-            sources.append(a_vecs[k])
-        else:
-            rel = mat.T @ a_vecs[k].conj() / coeffs[k]
-            sources.append(b_vecs[k])
-        targets.append(rel)
-    src_frame = _complete_frame(sources, n)
-    tgt_frame = _complete_frame(targets, n)
-    return tgt_frame @ dag(src_frame)
+    coeffs, own, other = _split_schmidt(basis.vectors[src_idx], basis.dims, side)
+    dst = basis.vectors[dst_idx].reshape(basis.dims)
+    if side == "B":
+        dst = dst.T
+    targets = [dst @ v.conj() / c for c, v in zip(coeffs, other)]
+    return _frame_map_unitary(own, targets, dst.shape[0])

@@ -33,6 +33,7 @@ from .linalg import (
     mat_close,
     partial_trace,
     proj,
+    schmidt_coefficients,
     schmidt_vectors,
     tensor_product,
     trace_distance,
@@ -168,7 +169,8 @@ def _support_projector(sigma: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tup
     return vecs @ dag(vecs), int(keep.sum())
 
 
-def semicausal_structure(basis: OrthogonalBasis, side: str = "A") -> PartitionStructure:
+def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
+                         tol: float = ATOL) -> PartitionStructure:
     """Partition ``side`` into subspaces, grouping basis states by reduced-state support.
 
     Requires the pairwise test to pass on ``side``. Verifies that each group's
@@ -176,7 +178,7 @@ def semicausal_structure(basis: OrthogonalBasis, side: str = "A") -> PartitionSt
     (other dim) * (subspace dim) members, and that every member is maximally
     entangled between the subspace and the other factor.
     """
-    verdict = semicausal_basis_test(basis, side)
+    verdict = semicausal_basis_test(basis, side, tol)
     if not verdict.semicausal:
         raise ValueError(f"basis fails the pairwise criterion on side {side} "
                          f"at pair {verdict.violating_pair}")
@@ -185,26 +187,27 @@ def semicausal_structure(basis: OrthogonalBasis, side: str = "A") -> PartitionSt
     sigmas = reduced_states(basis, side)
     scale = max(1.0, basis.dims.total)
     subspaces = []
-    for g in _group_by_equality(sigmas, ATOL * scale):
+    for g in _group_by_equality(sigmas, tol * scale):
         p, dim = _support_projector(sigmas[g[0]])
-        if not mat_close(sigmas[g[0]], p / dim, ATOL * scale):
+        if not mat_close(sigmas[g[0]], p / dim, tol * scale):
             raise ValueError("reduced state is not a normalized subspace projector")
         if len(g) != n_other * dim:
             raise ValueError(f"subspace of dimension {dim} holds {len(g)} states, "
                              f"expected {n_other * dim}")
+        expected = np.where(np.arange(min(basis.dims)) < dim, 1 / np.sqrt(dim), 0.0)
         for idx in g:
-            coeffs, _, _ = schmidt_vectors(basis.vectors[idx], basis.dims)
-            if np.any(np.abs(coeffs - 1 / np.sqrt(dim)) > ATOL * scale):
+            coeffs = schmidt_coefficients(basis.vectors[idx], basis.dims)
+            if np.any(np.abs(coeffs - expected) > tol * scale):
                 raise ValueError(f"basis state {idx} is not maximally entangled "
                                  f"over its {dim}-dimensional subspace")
         subspaces.append(Subspace(p, dim, tuple(g)))
     total = sum(s.projector for s in subspaces)
-    if not mat_close(total, np.eye(n_side), ATOL * scale):
+    if not mat_close(total, np.eye(n_side), tol * scale):
         raise ValueError("subspace projectors do not resolve the identity")
     return PartitionStructure(side, tuple(subspaces))
 
 
-def causal_structure(basis: OrthogonalBasis) -> CausalGrid:
+def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     """Grid structure of a basis passing the pairwise criterion on both sides.
 
     All subspaces on both sides share one cell dimension d; d must divide both
@@ -212,8 +215,8 @@ def causal_structure(basis: OrthogonalBasis) -> CausalGrid:
     are maximally entangled across it. Inconsistent cell dimensions signal a
     numerical failure, not a legal basis.
     """
-    part_a = semicausal_structure(basis, "A")
-    part_b = semicausal_structure(basis, "B")
+    part_a = semicausal_structure(basis, "A", tol)
+    part_b = semicausal_structure(basis, "B", tol)
     cell_dims = {s.dim for s in part_a.subspaces} | {s.dim for s in part_b.subspaces}
     if len(cell_dims) != 1:
         raise ValueError(f"inconsistent cell dimensions {sorted(cell_dims)}")
@@ -290,7 +293,8 @@ def _complete_frame(vecs: list[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-def basis_signaling_witness(basis: OrthogonalBasis, side: str) -> BasisWitness:
+def basis_signaling_witness(basis: OrthogonalBasis, side: str,
+                            tol: float = ATOL) -> BasisWitness | None:
     """Constructive signaling witness for a basis failing the pairwise test on ``side``.
 
     Among the reduced states whose overlap class holds two or more distinct
@@ -298,22 +302,22 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str) -> BasisWitness:
     class, so steering it toward an overlapping, distinct partner must move
     the receiver's output. The sender unitary aligns the two states' Schmidt
     frames; the reported separation is the trace distance between the
-    receiver's reduced outputs with and without it.
+    receiver's reduced outputs with and without it. Returns None when no
+    such pair separates the outputs by more than WITNESS_THRESHOLD, as for
+    a basis within a hair of a causal one.
     """
-    verdict = semicausal_basis_test(basis, side)
+    verdict = semicausal_basis_test(basis, side, tol)
     if verdict.semicausal:
         raise ValueError(f"basis passes the pairwise criterion on side {side}; no witness exists")
     sigmas = reduced_states(basis, side)
     scale = max(1.0, basis.dims.total)
     n = len(sigmas)
-    overlap = [[frobenius(sigmas[a] @ sigmas[b]) > ATOL * scale for b in range(n)] for a in range(n)]
-    distinct = [[not mat_close(sigmas[a], sigmas[b], ATOL * scale) for b in range(n)] for a in range(n)]
+    overlap = [[frobenius(sigmas[a] @ sigmas[b]) > tol * scale for b in range(n)] for a in range(n)]
+    distinct = [[not mat_close(sigmas[a], sigmas[b], tol * scale) for b in range(n)] for a in range(n)]
     candidates = [
         b for b in range(n)
         if any(overlap[b][a] and distinct[b][a] for a in range(n))
     ]
-    if not candidates:
-        raise ValueError("no reduced state has a distinct overlapping partner")
     candidates.sort(key=lambda b: (-frobenius(sigmas[b]), b))
     ch = measurement_channel(basis)
     for b_idx in candidates:
@@ -324,7 +328,7 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str) -> BasisWitness:
             sep = _witness_separation(ch, basis, b_idx, u, side)
             if sep > WITNESS_THRESHOLD:
                 return BasisWitness(side, b_idx, u, sep)
-    raise ValueError("witness construction failed to separate the receiver outputs")
+    return None
 
 
 def _witness_separation(ch: KrausChannel, basis: OrthogonalBasis, b_idx: int,

@@ -37,7 +37,7 @@ from .linalg import (
 from .measurements import (
     OrthogonalBasis,
     PartitionStructure,
-    _complete_frame,
+    _frame_map_unitary,
     bell_states,
     semicausal_structure,
 )
@@ -156,7 +156,7 @@ def _replacement_rotation(basis: OrthogonalBasis, structure: PartitionStructure,
     mat = basis.vectors[a].reshape(na, nb)
     sources = [basis_vector(nb, i) for i in range(d)]
     targets = [np.sqrt(d) * (mat.T @ frame_a[i].conj()) for i in range(d)]
-    return _complete_frame(targets, nb) @ dag(_complete_frame(sources, nb))
+    return _frame_map_unitary(sources, targets, nb)
 
 
 def _stock_pair(basis: OrthogonalBasis, structure: PartitionStructure, alpha: int) -> np.ndarray:

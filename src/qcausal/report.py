@@ -2,16 +2,14 @@
 
 Every negative verdict carries a witness or certificate; every positive
 verdict names the criterion that decided it. Localizability is only ever
-reported as "obstructed" (with a certificate) or "by construction" (when a
-known zero-communication recipe reproduces the channel exactly); otherwise
-the report says that no obstruction was found, which is not a proof.
+reported as "obstructed" (with a certificate) or "by construction" (when
+cell dephasing plus a matched twirl reproduces the channel exactly);
+otherwise the report says that no obstruction was found, which is not a proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import localizability as loc
 from .causality import (
@@ -22,9 +20,9 @@ from .causality import (
     semicausal_test,
     signaling_search,
 )
-from .channels import KrausChannel, choi, choi_distance, measurement_channel, validate
+from .channels import KrausChannel, channel_distance, measurement_channel, validate
 from .games import CIRELSON_VALUE, channel_game_value
-from .linalg import BiDims, tensor_product
+from .linalg import BiDims
 from .measurements import (
     BasisWitness,
     OrthogonalBasis,
@@ -33,11 +31,10 @@ from .measurements import (
     semicausal_basis_test,
 )
 from .serialize import matrix_to_json
-from .twirl import ProjectiveUnitaryGroup, twirl_channel
+from .twirl import grid_twirl_channel
 
 PAIRWISE_CRITERION = "pairwise-reduced-states"
 CHOI_CRITERION = "choi-marginal"
-CONSTRUCTION = "construction"
 
 
 @dataclass
@@ -119,6 +116,16 @@ def _serialize_certificate(cert: loc.ObstructionCertificate) -> dict:
     return doc
 
 
+def _channel_witness(ch: KrausChannel, direction: str) -> dict:
+    """The best IC-probe pair, or a note when none separates above the bar."""
+    found = signaling_search(ch, direction)
+    if found is not None:
+        return _serialize_search_witness(found)
+    return {"kind": "choi-marginal-deviation",
+            "note": "exact criterion failed; no probe pair separates the receiver's "
+                    f"outputs by more than {SEARCH_THRESHOLD:g}"}
+
+
 def classify_basis(basis: OrthogonalBasis, tol: float = 1e-9) -> ClassificationReport:
     """Full classification of a complete orthogonal measurement basis."""
     ch = measurement_channel(basis)
@@ -133,11 +140,13 @@ def classify_basis(basis: OrthogonalBasis, tol: float = 1e-9) -> ClassificationR
             raise ValueError(f"criteria disagree on side {side}; numerical failure")
         entry = VerdictEntry(verdict.semicausal, f"{PAIRWISE_CRITERION}+{CHOI_CRITERION}")
         if not verdict.semicausal:
-            entry.witness = _serialize_basis_witness(basis_signaling_witness(basis, side))
+            found = basis_signaling_witness(basis, side, tol)
+            entry.witness = (_serialize_basis_witness(found) if found is not None
+                             else _channel_witness(ch, direction))
         setattr(report, attr, entry)
 
     if report.causal:
-        _analyze_localizability(report, basis, ch)
+        _analyze_localizability(report, basis, ch, tol)
     else:
         report.localizability = "not localizable (signaling certificate attached)"
 
@@ -147,68 +156,23 @@ def classify_basis(basis: OrthogonalBasis, tol: float = 1e-9) -> ClassificationR
 
 
 def _analyze_localizability(report: ClassificationReport, basis: OrthogonalBasis,
-                            ch: KrausChannel) -> None:
-    grid = causal_structure(basis)
-    na, nb = basis.dims
-    if grid.d == 1:
-        if _product_dephasing_matches(basis, ch):
-            report.localizability = "localizable by construction (local dephasings)"
-            return
-    if grid.d == na == nb:
-        us = loc.extract_unitaries(basis)
-        cert = loc.projective_group_test(us)
-        if cert is not None:
-            report.obstructions.append(_serialize_certificate(cert))
-            report.localizability = "not localizable (group-closure certificate)"
-            return
-        if _matched_conjugate_twirl_matches(us):
-            report.localizability = "localizable by construction (matched group twirl)"
-            return
-        report.localizability = "no obstruction found (unitaries projectively closed)"
+                            ch: KrausChannel, tol: float) -> None:
+    """Try the grid construction; only if it fails, look for an obstruction."""
+    grid = causal_structure(basis, tol)
+    if channel_distance(grid_twirl_channel(basis, grid), ch) < tol * ch.dim:
+        report.localizability = ("localizable by construction "
+                                 "(cell dephasing + matched twirl)")
         return
-    cert = loc.closure_obstruction_search(basis)
+    if grid.r_a == grid.r_b == 1:
+        cert = loc.projective_group_test(loc.extract_unitaries(basis, tol), tol)
+        report.localizability = "no obstruction found (unitaries projectively closed)"
+    else:
+        cert = loc.closure_obstruction_search(basis, tol)
+        report.localizability = "no obstruction found"
     if cert is not None:
         report.obstructions.append(_serialize_certificate(cert))
-        report.localizability = "not localizable (eigenstate-closure certificate)"
-        return
-    if basis.dims == BiDims(4, 4) and grid.d == 2 and _quadrant_protocol_matches(basis, ch):
-        report.localizability = ("localizable by construction "
-                                 "(cell dephasing + matched Pauli twirl)")
-        return
-    report.localizability = "no obstruction found"
-
-
-def _product_dephasing_matches(basis: OrthogonalBasis, ch: KrausChannel) -> bool:
-    from .measurements import semicausal_structure
-
-    part_a = semicausal_structure(basis, "A")
-    part_b = semicausal_structure(basis, "B")
-    kraus = tuple(
-        tensor_product(sa.projector, sb.projector)
-        for sa in part_a.subspaces for sb in part_b.subspaces
-    )
-    candidate = KrausChannel(kraus, basis.dims)
-    return choi_distance(choi(candidate), choi(ch)) < 1e-9 * ch.dim
-
-
-def _matched_conjugate_twirl_matches(us: loc.MEBasisUnitaries) -> bool:
-    """Does the twirl over {U_a (x) conj(U_a)} reproduce the aligned basis channel?
-
-    Equality in the aligned frame transfers to the original basis by local
-    conjugation, which preserves zero-communication implementability.
-    """
-    aligned = loc.me_basis_from_unitaries(us.unitaries)
-    target = measurement_channel(aligned)
-    elements = tuple(tensor_product(u, u.conj()) for u in us.unitaries)
-    candidate = twirl_channel(ProjectiveUnitaryGroup(elements), aligned.dims)
-    return choi_distance(choi(candidate), choi(target)) < 1e-9 * target.dim
-
-
-def _quadrant_protocol_matches(basis: OrthogonalBasis, ch: KrausChannel) -> bool:
-    from .protocols import twisted_partition_protocol_kraus
-
-    candidate = twisted_partition_protocol_kraus(np.eye(2, dtype=complex))
-    return choi_distance(choi(candidate), choi(ch)) < 1e-9 * ch.dim
+        closure = "group" if cert.kind == loc.PROJECTIVE_GROUP else "eigenstate"
+        report.localizability = f"not localizable ({closure}-closure certificate)"
 
 
 def _attach_game_value(report: ClassificationReport, ch: KrausChannel) -> None:
@@ -235,14 +199,7 @@ def classify_channel(ch: KrausChannel, tol: float = 1e-9) -> ClassificationRepor
         blocked = semicausal_test(ch, direction, tol)
         entry = VerdictEntry(blocked, CHOI_CRITERION)
         if not blocked:
-            found = signaling_search(ch, direction)
-            if found is not None:
-                entry.witness = _serialize_search_witness(found)
-            else:
-                entry.witness = {"kind": "choi-marginal-deviation",
-                                 "note": "exact criterion failed; no probe pair "
-                                         "separates the receiver's outputs by more "
-                                         f"than {SEARCH_THRESHOLD:g}"}
+            entry.witness = _channel_witness(ch, direction)
         setattr(report, attr, entry)
 
     if not report.causal:

@@ -31,7 +31,9 @@ from .linalg import (
     is_unitary,
     kron_all,
     mat_close,
+    tensor_product,
 )
+from .measurements import CausalGrid, OrthogonalBasis
 
 _PAULI_BY_LETTER = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
@@ -137,6 +139,32 @@ def twirl_channel(group: ProjectiveUnitaryGroup, dims: BiDims) -> KrausChannel:
         raise ValueError(f"group dimension {group.dim} != {dims.total}")
     scale = 1 / np.sqrt(group.order)
     return KrausChannel(tuple(scale * u for u in group.elements), dims)
+
+
+def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel:
+    """Dephasing into the cells of a causal grid, then one matched twirl of every cell.
+
+    F_0, E_0 are the Schmidt frames of the first state of cell (0, 0), and its
+    states M_g give the group V_g = sqrt(d) F_0^dag M_g conj(E_0). Row alpha
+    uses the A frame F_alpha that the first state of cell (alpha, 0) pairs with
+    E_0, column beta the B frame E_beta that the first state of cell (0, beta)
+    pairs with F_0. The Kraus operator (F_alpha V_g F_alpha^dag) (x)
+    (E_beta conj(V_g) E_beta^dag) / d has an A factor fixed by (g, alpha) and a
+    B factor fixed by (g, beta), so shared randomness and local operations
+    implement the channel. Whether it equals the basis measurement is for the
+    caller to decide by Choi equality.
+    """
+    na, nb = basis.dims
+    d = grid.d
+    states = [v.reshape(na, nb) for v in basis.vectors]
+    u, _, vh = np.linalg.svd(states[grid.cells[0][0][0]])
+    f0, e0 = u[:, :d], vh[:d].T
+    group = [np.sqrt(d) * dag(f0) @ states[idx] @ e0.conj() for idx in grid.cells[0][0]]
+    rows = [np.sqrt(d) * states[row[0][0]] @ e0.conj() for row in grid.cells]
+    cols = [np.sqrt(d) * states[cell[0]].T @ f0.conj() for cell in grid.cells[0]]
+    kraus = tuple(tensor_product(f @ v @ dag(f), e @ v.conj() @ dag(e)) / d
+                  for v in group for f in rows for e in cols)
+    return KrausChannel(kraus, basis.dims)
 
 
 def _independent(generators: Sequence[PauliString]) -> bool:

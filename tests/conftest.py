@@ -22,6 +22,21 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def near_causal_basis():
+    """A 4x4 grid with cell size 2 turned by exp(i 1e-7 H) for a random Hermitian H.
+
+    It signals, but every basis-steering pair and IC probe pair separates the
+    receiver's outputs by less than 1e-6.
+    """
+    rng = np.random.default_rng(3)
+    basis = causal_grid_basis(BiDims(4, 4), 2)
+    h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    u = v @ np.diag(np.exp(0.5e-7j * w)) @ v.conj().T
+    return OrthogonalBasis(tuple(u @ x for x in basis.vectors), basis.dims)
+
+
 def build_corpus(seed: int = 11) -> list[tuple[str, OrthogonalBasis]]:
     """Random plus structured complete bases with local dimensions in {2, 3, 4}.
 

@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from qcausal.cli import main
-from qcausal.serialize import load_document
+from qcausal.serialize import dump_document, load_document
 
 
 FIXTURES = ["sorkin.json", "bell_basis.json", "conditional_basis.json",
@@ -99,6 +99,22 @@ def test_classify_invariant_failure(tmp_path, capsys):
     path = tmp_path / "subnormalized.json"
     path.write_text(json.dumps(doc))
     assert main(["classify", str(path)]) == 3
+
+
+def test_near_causal_basis_follows_tol(tmp_path, capsys, near_causal_basis):
+    path = str(tmp_path / "near_causal.json")
+    dump_document(near_causal_basis, path)
+    assert main(["classify", path, "--json", "--tol", "1e-9"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    jsonschema.validate(doc, _schema())
+    assert not doc["causal"]
+    for entry in doc["semicausal"].values():
+        assert entry["verdict"] is False
+        assert entry["witness"]["kind"] == "choi-marginal-deviation"
+    assert main(["classify", path, "--json", "--tol", "1e-5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["causal"] and doc["obstructions"] == []
+    assert doc["localizability"].startswith("localizable by construction")
 
 
 def test_demo_chsh_values(capsys):

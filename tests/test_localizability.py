@@ -1,5 +1,10 @@
+import time
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.channels import identity_channel, measurement_channel
 from qcausal.causality import causal_test
@@ -19,8 +24,16 @@ from qcausal.localizability import (
     projective_group_test,
     twisted_partition_basis,
 )
-from qcausal.measurements import bell_basis, bell_states, causal_grid_basis, product_basis, rotate_basis
+from qcausal.measurements import (
+    OrthogonalBasis,
+    bell_basis,
+    bell_states,
+    causal_grid_basis,
+    product_basis,
+    rotate_basis,
+)
 from qcausal.report import classify_basis
+from qcausal.serialize import load_document
 from qcausal.twirl import bell_twirl, werner_twirl
 
 D22 = BiDims(2, 2)
@@ -227,7 +240,25 @@ def test_rotated_grid_with_cells_classifies(rng):
     basis = causal_grid_basis(BiDims(4, 4), 2, rng)
     report = classify_basis(basis)
     assert report.causal and report.obstructions == []
-    assert report.localizability.startswith(("localizable by construction", "no obstruction found"))
+    assert report.localizability.startswith("localizable by construction")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_6x6_grids_localizable_by_construction(d, rng):
+    for basis in (causal_grid_basis(BiDims(6, 6), d), causal_grid_basis(BiDims(6, 6), d, rng)):
+        report = classify_basis(basis)
+        assert report.causal and report.obstructions == []
+        assert report.localizability == ("localizable by construction "
+                                         "(cell dephasing + matched twirl)")
+
+
+def test_rotated_8x8_grid_classifies_quickly(rng):
+    basis = causal_grid_basis(BiDims(8, 8), 4, rng)
+    start = time.perf_counter()
+    report = classify_basis(basis)
+    assert time.perf_counter() - start < 10.0
+    assert report.causal and report.obstructions == []
+    assert report.localizability.startswith("localizable by construction")
 
 
 def test_rotated_twisted_basis_keeps_closure_certificate(rng):
@@ -235,3 +266,34 @@ def test_rotated_twisted_basis_keeps_closure_certificate(rng):
     report = classify_basis(basis)
     assert report.causal
     assert [c["kind"] for c in report.obstructions] == ["EigenstateClosure"]
+
+
+BASIS_FIXTURES = ["bell_basis.json", "completion_basis.json", "conditional_basis.json",
+                  "mismatch_basis.json", "twisted_quadrant_basis.json"]
+
+
+def _verdict_summary(basis: OrthogonalBasis) -> tuple:
+    report = classify_basis(basis)
+    return (report.b_to_a_blocked.verdict, report.a_to_b_blocked.verdict, report.causal,
+            [c["kind"] for c in report.obstructions], report.localizability)
+
+
+@pytest.fixture(scope="module")
+def verdict_cases(corpus):
+    fixtures = [(name, load_document(str(resources.files("qcausal") / "fixtures" / name)))
+                for name in BASIS_FIXTURES]
+    return [(name, basis, _verdict_summary(basis)) for name, basis in corpus + fixtures]
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_frames_and_order_do_not_change_the_verdict(verdict_cases, seed):
+    # local unitaries and the order of the vectors change neither signaling
+    # nor localizability, so every decision must come out the same
+    rng = np.random.default_rng(seed)
+    for name, basis, expected in verdict_cases:
+        na, nb = basis.dims
+        moved = rotate_basis(basis, haar_unitary(na, rng), haar_unitary(nb, rng))
+        shuffled = OrthogonalBasis(tuple(moved.vectors[k] for k in rng.permutation(basis.size)),
+                                   basis.dims)
+        assert _verdict_summary(shuffled) == expected, name

@@ -155,6 +155,19 @@ def test_witness_requires_failing_side():
         basis_signaling_witness(bell_basis(), "A")
 
 
+def test_witness_is_none_when_no_pair_clears_the_bar(near_causal_basis):
+    for side in "AB":
+        assert not semicausal_basis_test(near_causal_basis, side).semicausal
+        assert basis_signaling_witness(near_causal_basis, side) is None
+
+
+def test_structure_follows_tol(near_causal_basis):
+    with pytest.raises(ValueError, match="pairwise criterion"):
+        causal_structure(near_causal_basis)
+    grid = causal_structure(near_causal_basis, tol=1e-5)
+    assert (grid.d, grid.r_a, grid.r_b) == (2, 2, 2)
+
+
 def test_witness_unitary_is_unitary():
     w = basis_signaling_witness(conditional_basis(), "B")
     assert np.linalg.norm(w.unitary @ w.unitary.conj().T - np.eye(2)) < 1e-9

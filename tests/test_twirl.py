@@ -2,14 +2,43 @@ import numpy as np
 import pytest
 
 from qcausal.causality import A_TO_B, B_TO_A, semicausal_test
-from qcausal.channels import apply, choi, choi_distance, measurement_channel, validate
-from qcausal.linalg import BiDims, PAULI_X, PAULI_Z, proj, random_density_matrix, tensor_product
-from qcausal.measurements import bell_basis, bell_states
+from qcausal.channels import (
+    KrausChannel,
+    apply,
+    channel_distance,
+    choi,
+    choi_distance,
+    measurement_channel,
+    validate,
+)
+from qcausal.linalg import (
+    BiDims,
+    HADAMARD,
+    PAULI_X,
+    PAULI_Z,
+    haar_unitary,
+    operator_schmidt,
+    proj,
+    random_density_matrix,
+    tensor_product,
+)
+from qcausal.localizability import (
+    EIGENSTATE_CLOSURE,
+    PROJECTIVE_GROUP,
+    closure_obstruction_search,
+    extract_unitaries,
+    mismatch_basis,
+    projective_group_test,
+    twisted_partition_basis,
+)
+from qcausal.measurements import bell_basis, bell_states, causal_structure, rotate_basis
+from qcausal.report import classify_basis
 from qcausal.twirl import (
     PauliString,
     ProjectiveUnitaryGroup,
     bell_twirl,
     close_group,
+    grid_twirl_channel,
     pauli_twirl_group,
     stabilizer_channel,
     stabilizer_twirl,
@@ -191,3 +220,63 @@ def test_structure_check_on_twirls():
 def test_structure_check_rejects_mismatched_channel():
     with pytest.raises(ValueError):
         twirl_structure_check(pauli_twirl_group(), werner_twirl())
+
+
+def _grid_twirl_distance(basis) -> float:
+    candidate = grid_twirl_channel(basis, causal_structure(basis))
+    return choi_distance(choi(candidate), choi(measurement_channel(basis)))
+
+
+def _obstruction_of_its_shape(basis):
+    grid = causal_structure(basis)
+    if grid.r_a == grid.r_b == 1:
+        return projective_group_test(extract_unitaries(basis))
+    return closure_obstruction_search(basis)
+
+
+def test_grid_twirl_reproduces_localizable_grids(corpus, rng):
+    twisted = twisted_partition_basis(PAULI_X)
+    bases = [basis for name, basis in corpus if name.startswith(("grid-", "product-"))]
+    bases += [twisted, rotate_basis(twisted, haar_unitary(4, rng), haar_unitary(4, rng))]
+    assert len(bases) == 15
+    for basis in bases:
+        assert _grid_twirl_distance(basis) < 1e-9 * basis.dims.total
+        # an exact construction leaves nothing for the obstruction search to find
+        assert _obstruction_of_its_shape(basis) is None
+
+
+def test_grid_twirl_kraus_operators_are_products(rng):
+    basis = rotate_basis(twisted_partition_basis(PAULI_X), haar_unitary(4, rng), haar_unitary(4, rng))
+    candidate = grid_twirl_channel(basis, causal_structure(basis))
+    assert len(candidate.kraus) == 16
+    for k in candidate.kraus:
+        assert len(operator_schmidt(k, basis.dims)) == 1
+    assert validate(candidate).tp
+
+
+def test_grid_twirl_rejects_obstructed_bases():
+    for basis, kind in ((twisted_partition_basis(HADAMARD), EIGENSTATE_CLOSURE),
+                        (mismatch_basis(), PROJECTIVE_GROUP)):
+        assert _grid_twirl_distance(basis) > 1.0
+        assert _obstruction_of_its_shape(basis).kind == kind
+        report = classify_basis(basis)
+        assert [c["kind"] for c in report.obstructions] == [kind]
+        assert report.localizability.startswith("not localizable")
+
+
+def test_channel_distance_matches_choi_distance(rng):
+    dims = BiDims(2, 3)
+    channels = []
+    for n_kraus in (1, 3, 4):
+        stack = rng.normal(size=(6 * n_kraus, 6)) + 1j * rng.normal(size=(6 * n_kraus, 6))
+        channels.append(KrausChannel(tuple(np.linalg.qr(stack)[0].reshape(n_kraus, 6, 6)), dims))
+    # a unitary mixing of the Kraus operators is the same channel
+    mixing = haar_unitary(4, rng)
+    kraus = channels[2].stacked()
+    channels.append(KrausChannel(tuple(np.einsum("ij,jkl->ikl", mixing, kraus)), dims))
+    for e1 in channels:
+        for e2 in channels:
+            expected = choi_distance(choi(e1), choi(e2))
+            assert abs(channel_distance(e1, e2) - expected) < 1e-12
+    assert channel_distance(channels[0], channels[1]) > 0.1
+    assert channel_distance(channels[2], channels[3]) < 1e-13
