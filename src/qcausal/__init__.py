@@ -1,5 +1,6 @@
 """Bipartite quantum operations: causality tests, localizability obstructions,
-and executable protocol reconstructions, at desk scale (local dimensions <= 8).
+and the protocols that realize them as Kraus channels, at desk scale (local
+dimensions <= 8).
 """
 
 from .causality import (
@@ -78,12 +79,11 @@ from .measurements import (
     semicausal_structure,
 )
 from .protocols import (
-    ProtocolTrace,
     bell_circuit_channel,
-    entanglement_swap_demo,
-    run_semilocal_measurement,
-    run_twisted_partition_protocol,
-    semilocal_measurement_branches,
+    branch_weights,
+    entanglement_swap_channel,
+    sample_branch,
+    semilocal_channel,
     twisted_partition_protocol_kraus,
 )
 from .report import ClassificationReport, classify_basis, classify_channel

@@ -12,8 +12,8 @@ is a working signaling protocol that replays on the Kraus operators.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
-receiver states), but those appear in this package only inside protocol
-simulations as explicit branch probabilities.
+receiver states), but those appear in this package only as the branch Kraus
+operators of a protocol channel.
 """
 
 from __future__ import annotations

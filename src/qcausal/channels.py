@@ -6,7 +6,7 @@ Choi states, never on Kraus lists (Kraus representations are not unique).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -20,24 +20,28 @@ class KrausChannel:
 
     kraus: tuple[np.ndarray, ...]
     dims: BiDims
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.kraus:
             raise ValueError("channel needs at least one Kraus operator")
-        mats = tuple(as_matrix(k) for k in self.kraus)
+        mats = [as_matrix(k) for k in self.kraus]
         n = self.dims.total
         for k in mats:
             if k.shape != (n, n):
                 raise ValueError(f"Kraus operator shape {k.shape} != ({n}, {n})")
-        object.__setattr__(self, "kraus", mats)
+        stack = np.stack(mats)
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @property
     def dim(self) -> int:
         return self.dims.total
 
     def stacked(self) -> np.ndarray:
-        """All Kraus operators as one (k, n, n) array."""
-        return np.stack(self.kraus)
+        """All Kraus operators as one read-only (k, n, n) array, built once."""
+        return self._stack
 
 
 class TPReport(NamedTuple):

@@ -14,7 +14,8 @@ from importlib import resources
 
 import numpy as np
 
-from .channels import KrausChannel, choi, choi_distance, measurement_channel
+from .causality import B_TO_A, semicausal_test
+from .channels import KrausChannel, channel_distance, measurement_channel
 from .games import (
     CIRELSON_VALUE,
     and_box_channel,
@@ -27,10 +28,13 @@ from .linalg import HADAMARD, PAULI_X, basis_vector, proj
 from .localizability import mismatch_basis, twisted_partition_basis
 from .measurements import OrthogonalBasis, bell_basis, completion_basis, conditional_basis, incomplete_bell_channel
 from .protocols import (
-    entanglement_swap_demo,
-    run_semilocal_measurement,
-    run_twisted_partition_protocol,
-    semilocal_measurement_branches,
+    BELL_LABELS,
+    PAULI_LABELS,
+    branch_weights,
+    entanglement_swap_channel,
+    sample_branch,
+    semilocal_channel,
+    swap_outcome,
     twisted_partition_protocol_kraus,
 )
 from .report import classify_basis, classify_channel
@@ -113,16 +117,15 @@ def _demo_semilocal(args: argparse.Namespace) -> int:
     if not isinstance(obj, OrthogonalBasis):
         print("error: semilocal demo needs a basis file", file=sys.stderr)
         return 2
+    protocol = semilocal_channel(obj)
     rho = proj(sum(obj.vectors) / np.sqrt(obj.size))
-    counts = collections.Counter()
-    for shot in range(args.shots):
-        run = run_semilocal_measurement(obj, rho, seed=args.seed + shot)
-        counts[run.outcome_index] += 1
+    rng = np.random.default_rng(args.seed)
+    counts = collections.Counter(sample_branch(protocol, rho, rng) for _ in range(args.shots))
     print("outcome histogram (uniform superposition input):")
-    weights = {a: p for p, a, _ in semilocal_measurement_branches(obj, rho)}
+    weights = branch_weights(protocol, rho)
     for a in sorted(counts):
         print(f"  outcome {a}: {counts[a]} / {args.shots} (weight {weights[a]:.4f})")
-    print(f"trace one-way: {run.trace.one_way()}")
+    print(f"one-way: {semicausal_test(protocol, B_TO_A)}")
     return 0
 
 
@@ -132,15 +135,15 @@ def _demo_swap(args: argparse.Namespace) -> int:
         print("error: input must be one of 00, 01, 10, 11", file=sys.stderr)
         return 2
     i, j = inputs[args.input]
-    vec = np.kron(basis_vector(2, i), basis_vector(2, j))
-    counts = collections.Counter()
-    for shot in range(args.shots):
-        result = entanglement_swap_demo(vec, seed=args.seed + shot)
-        counts[result.bell_outcome] += 1
+    protocol = entanglement_swap_channel()
+    rho = proj(np.kron(basis_vector(2, i), basis_vector(2, j)))
+    rng = np.random.default_rng(args.seed)
+    branches = [sample_branch(protocol, rho, rng) for _ in range(args.shots)]
+    counts = collections.Counter(BELL_LABELS[swap_outcome(k)[0]] for k in branches)
     print(f"input |{args.input}>, {args.shots} runs:")
     for label in sorted(counts):
         print(f"  {label}: {counts[label]}")
-    print(f"last run correction record: {result.pauli_record}")
+    print(f"last run correction record: {swap_outcome(branches[-1])[1]}")
     return 0
 
 
@@ -149,16 +152,15 @@ def _demo_twisted(args: argparse.Namespace) -> int:
     basis = twisted_partition_basis(u_b)
     target = measurement_channel(basis)
     protocol = twisted_partition_protocol_kraus(u_b)
-    dist = choi_distance(choi(protocol), choi(target))
+    dist = channel_distance(protocol, target)
     rho = proj(sum(basis.vectors[k] for k in (0, 5, 12)) / np.sqrt(3))
-    run = run_twisted_partition_protocol(u_b, rho, seed=args.seed)
+    row, rest = divmod(sample_branch(protocol, rho, np.random.default_rng(args.seed)), 8)
+    column, pauli = divmod(rest, 4)
     print(f"twist: {args.u}")
     print(f"protocol channel == twisted basis channel: {dist < 1e-9} "
           f"(Choi distance {dist:.2e})")
-    print(f"sampled run: row {run.row}, column {run.column}")
-    print("trace:")
-    print(run.trace.to_json_lines())
-    print(f"one-way: {run.trace.one_way()}")
+    print(f"sampled run: row {row}, column {column}, Pauli {PAULI_LABELS[pauli]}")
+    print(f"one-way: {semicausal_test(protocol, B_TO_A)}")
     return 0
 
 
@@ -212,6 +214,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcausal",
                                      description="Classify bipartite quantum operations.")
@@ -231,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--y", default="110", help="ip demo: second bitstring")
     p_demo.add_argument("--basis", default="bell_basis.json",
                         help="semilocal demo: basis file")
-    p_demo.add_argument("--shots", type=int, default=200)
+    p_demo.add_argument("--shots", type=_positive_int, default=200)
     p_demo.add_argument("--input", default="00", help="swap demo: product input")
     p_demo.add_argument("--u", default="hadamard", choices=sorted(_NAMED_UNITARIES),
                         help="twisted demo: twist unitary")

@@ -242,13 +242,6 @@ def projective_group_test(us: MEBasisUnitaries,
     return None
 
 
-def product_in_set(us: MEBasisUnitaries, i: int, j: int, tol: float = ATOL) -> bool:
-    """Whether U_i U_j is proportional to some member (|tr| criterion)."""
-    product = us.unitaries[i] @ us.unitaries[j]
-    d = us.d
-    return max(abs(np.trace(dag(w) @ product)) for w in us.unitaries) >= d - tol * d
-
-
 def mismatch_basis() -> OrthogonalBasis:
     """A 4x4 maximally entangled basis whose unitaries are NOT projectively closed.
 

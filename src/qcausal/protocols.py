@@ -1,21 +1,19 @@
-"""Executable reconstructions of measurement and twirl protocols.
+"""Protocols as channels: each protocol's branches are one channel's Kraus operators.
 
-Every stochastic protocol also has a deterministic branch-weighted form that
-propagates all branches with their weights, so protocol channels can be
-compared against their targets exactly, without sampling noise. Traces record
-who acted and what was communicated; one-way protocols must contain no
-return payload.
+A protocol implements its target superoperator iff its channel is at
+``channel_distance`` zero from the target, so every protocol here is checked
+by one exact distance, with no sampling. The one-way protocols are written in
+factored form, with Alice's factor acting on A alone, so the form itself
+shows which way communication goes. :func:`sample_branch` draws one branch of
+a protocol run for the demonstrations.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .causality import A_TO_B, B_TO_A
 from .channels import KrausChannel
 from .linalg import (
     BiDims,
@@ -24,14 +22,10 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     as_matrix,
-    as_vector,
     basis_vector,
     dag,
-    frobenius,
     is_unitary,
     kron_all,
-    normalize,
-    proj,
     tensor_product,
 )
 from .measurements import (
@@ -43,102 +37,27 @@ from .measurements import (
 )
 
 
-@dataclass(frozen=True)
-class ProtocolStep:
-    actor: str
-    action: str
-    comm_direction: str | None = None
-    payload_kind: str = "none"
+def branch_weights(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """The probability ``tr(K rho K^dag)`` of each branch on the input ``rho``."""
+    ks = ch.stacked()
+    weights = np.einsum("kij,kij->k", ks @ as_matrix(rho), ks.conj()).real
+    return np.clip(weights, 0.0, None)
 
 
-@dataclass
-class ProtocolTrace:
-    steps: list[ProtocolStep] = field(default_factory=list)
-
-    def add(self, actor: str, action: str, comm_direction: str | None = None,
-            payload_kind: str = "none") -> None:
-        self.steps.append(ProtocolStep(actor, action, comm_direction, payload_kind))
-
-    def one_way(self) -> bool:
-        """True iff no step communicates from B back to A."""
-        return all(s.comm_direction != B_TO_A for s in self.steps)
-
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps({
-                "actor": s.actor,
-                "action": s.action,
-                "commDirection": s.comm_direction,
-                "payloadKind": s.payload_kind,
-            })
-            for s in self.steps
-        )
+def sample_branch(ch: KrausChannel, rho: np.ndarray, rng: np.random.Generator) -> int:
+    """One Kraus index of ``ch``, drawn with weight ``tr(K rho K^dag)``."""
+    weights = branch_weights(ch, rho)
+    return int(rng.choice(len(weights), p=weights / weights.sum()))
 
 
 # ---------------------------------------------------------------------------
 # One-way measurement protocol for bases passing the pairwise criterion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemilocalRun:
-    outcome_index: int
-    subspace_index: int
-    final_state: np.ndarray
-    trace: ProtocolTrace
-
-
-def _branch_probabilities(basis: OrthogonalBasis, rho: np.ndarray,
-                          structure: PartitionStructure) -> list[tuple[int, int, float]]:
-    """Per-outcome probabilities computed through the two-stage protocol route:
-    first the subspace projection weight, then the completion weight."""
-    na, nb = basis.dims
-    member_to_subspace = {idx: k for k, s in enumerate(structure.subspaces)
-                          for idx in s.member_indices}
-    out = []
-    for a in range(basis.size):
-        alpha = member_to_subspace[a]
-        p_full = tensor_product(structure.subspaces[alpha].projector, np.eye(nb))
-        p_alpha = np.trace(p_full @ rho @ p_full).real
-        if p_alpha < 1e-15:
-            out.append((a, alpha, 0.0))
-            continue
-        projected = p_full @ rho @ p_full / p_alpha
-        p_cond = np.vdot(basis.vectors[a], projected @ basis.vectors[a]).real
-        out.append((a, alpha, p_alpha * p_cond))
-    return out
-
-
-def semilocal_measurement_branches(basis: OrthogonalBasis,
-                                   rho: np.ndarray) -> list[tuple[float, int, np.ndarray]]:
-    """Deterministic branch-weighted mode: all outcomes with weights and final states."""
-    structure = semicausal_structure(basis, "A")
-    probs = _branch_probabilities(basis, rho, structure)
-    return [(p, a, proj(basis.vectors[a])) for a, _, p in probs]
-
-
-def semilocal_measurement_map(basis: OrthogonalBasis):
-    """The protocol's branch-averaged action as a linear map (for Choi comparison).
-
-    Weights are computed through the two-stage route (subspace projection,
-    then completion), so equality with the direct measurement channel is a
-    genuine protocol check.
-    """
-    structure = semicausal_structure(basis, "A")
-    na, nb = basis.dims
-    member_to_subspace = {idx: k for k, s in enumerate(structure.subspaces)
-                          for idx in s.member_indices}
-    projectors = [tensor_product(s.projector, np.eye(nb)) for s in structure.subspaces]
-
-    def act(x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(x, dtype=complex))
-        for a in range(basis.size):
-            p_full = projectors[member_to_subspace[a]]
-            projected = p_full @ x @ p_full
-            weight = np.vdot(basis.vectors[a], projected @ basis.vectors[a])
-            out += weight * proj(basis.vectors[a])
-        return out
-
-    return act
+def _subspace_frame(structure: PartitionStructure, alpha: int) -> np.ndarray:
+    """The eigenbasis of subspace ``alpha``, one column per vector."""
+    eigvals, eigvecs = np.linalg.eigh(structure.subspaces[alpha].projector)
+    return eigvecs[:, eigvals > 0.5]
 
 
 def _replacement_rotation(basis: OrthogonalBasis, structure: PartitionStructure,
@@ -149,96 +68,47 @@ def _replacement_rotation(basis: OrthogonalBasis, structure: PartitionStructure,
     the rotation maps those levels onto the state's relative B frames.
     """
     na, nb = basis.dims
-    sub = structure.subspaces[alpha]
-    d = sub.dim
-    eigvals, eigvecs = np.linalg.eigh(sub.projector)
-    frame_a = [eigvecs[:, k] for k in np.nonzero(eigvals > 0.5)[0]]
-    mat = basis.vectors[a].reshape(na, nb)
-    sources = [basis_vector(nb, i) for i in range(d)]
-    targets = [np.sqrt(d) * (mat.T @ frame_a[i].conj()) for i in range(d)]
-    return _frame_map_unitary(sources, targets, nb)
+    frame = _subspace_frame(structure, alpha)
+    d = frame.shape[1]
+    targets = np.sqrt(d) * basis.vectors[a].reshape(na, nb).T @ frame.conj()
+    return _frame_map_unitary([basis_vector(nb, i) for i in range(d)], list(targets.T), nb)
 
 
 def _stock_pair(basis: OrthogonalBasis, structure: PartitionStructure, alpha: int) -> np.ndarray:
+    """The pair ``sum_i |f_i>|i> / sqrt(d)`` over the subspace frame, as an (A', P) matrix."""
+    frame = _subspace_frame(structure, alpha)
+    pair = np.zeros(basis.dims, dtype=complex)
+    pair[:, :frame.shape[1]] = frame / np.sqrt(frame.shape[1])
+    return pair
+
+
+def semilocal_channel(basis: OrthogonalBasis) -> KrausChannel:
+    """The one-way A-to-B protocol measuring a basis that blocks B-to-A signaling.
+
+    Alice projects A onto the subspace alpha of the partition, moves the
+    system into a register R and prepares the stock pair on A' (x) P:
+    ``F_alpha = |Phi_alpha>_{A'P} (x) P_alpha^{A->R}``. She sends R and P to
+    Bob, who measures R (x) B in the basis and rotates P into his output:
+    ``G_a = V_a^{P->B} (x) <a|_{RB}``. Branch ``a`` (Kraus index ``a``) is
+    ``K_a = (I_A' (x) G_a)(F_alpha (x) I_B)``; Alice's factor acts on A alone
+    and depends only on alpha, so only A-to-B communication is used.
+    """
+    structure = semicausal_structure(basis, "A")
     na, nb = basis.dims
-    sub = structure.subspaces[alpha]
-    eigvals, eigvecs = np.linalg.eigh(sub.projector)
-    frame_a = [eigvecs[:, k] for k in np.nonzero(eigvals > 0.5)[0]]
-    vec = np.zeros(na * nb, dtype=complex)
-    for i, fa in enumerate(frame_a):
-        vec += tensor_product(fa.reshape(-1, 1), basis_vector(nb, i).reshape(-1, 1)).reshape(-1)
-    return vec / np.sqrt(sub.dim)
-
-
-def run_semilocal_measurement(basis: OrthogonalBasis, rho: np.ndarray,
-                              seed: int = 0) -> SemilocalRun:
-    """One sampled run of the one-way measurement protocol.
-
-    Alice projects onto her subspace partition, swaps the system into an
-    ancilla register, and ships it to Bob together with half of a stock
-    entangled pair; Bob completes the measurement on the register and rotates
-    the shared pair into the measured basis state. Outcome ``a`` occurs with
-    probability <a|rho|a> and the final state is |a><a|; the trace contains
-    only A-to-B communication.
-    """
-    rho = as_matrix(rho)
-    structure = semicausal_structure(basis, "A")
-    probs = _branch_probabilities(basis, rho, structure)
-    weights = np.array([p for _, _, p in probs])
-    total = weights.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError("input state is not normalized")
-    rng = np.random.default_rng(seed)
-    a = int(np.searchsorted(np.cumsum(weights), rng.uniform() * total))
-    a = min(a, basis.size - 1)
-    alpha = probs[a][1]
-
-    trace = ProtocolTrace()
-    trace.add("Alice", f"partial projection onto subspace {alpha}")
-    trace.add("Alice", "prepare stock entangled pair and swap system into register")
-    trace.add("Alice", "send register and pair half", comm_direction=A_TO_B,
-              payload_kind="quantum")
-    trace.add("Bob", "swap received register; complete the measurement on it")
-    rotation = _replacement_rotation(basis, structure, alpha, a)
-    stock = _stock_pair(basis, structure, alpha)
-    final_vec = tensor_product(np.eye(basis.dims.dim_a), rotation) @ stock
-    trace.add("Bob", "rotate shared pair into the measured basis state")
-    trace.add("Bob", "discard register and outcome record")
-    final = proj(final_vec)
-    target = proj(basis.vectors[a])
-    if frobenius(final - target) > 1e-8:
-        raise RuntimeError("replacement rotation failed to reproduce the basis state")
-    if not trace.one_way():
-        raise RuntimeError("one-way protocol produced a return payload")
-    return SemilocalRun(a, alpha, final, trace)
-
-
-def direct_measurement_sample(basis: OrthogonalBasis, rho: np.ndarray,
-                              seed: int = 0) -> tuple[int, np.ndarray]:
-    """Optimized equivalent of the protocol: sample a directly, emit |a><a|.
-
-    Uses the same single uniform draw against the outcome distribution, so a
-    fixed seed yields the same outcome as the full protocol run.
-    """
-    rho = as_matrix(rho)
-    weights = np.array([np.vdot(v, rho @ v).real for v in basis.vectors])
-    rng = np.random.default_rng(seed)
-    a = int(np.searchsorted(np.cumsum(weights), rng.uniform() * weights.sum()))
-    a = min(a, basis.size - 1)
-    return a, proj(basis.vectors[a])
-
-
-def sample_semilocal_outcomes(basis: OrthogonalBasis, rho: np.ndarray, n: int,
-                              seed: int = 0) -> np.ndarray:
-    """Draw n outcomes from the protocol's two-stage outcome distribution."""
-    structure = semicausal_structure(basis, "A")
-    weights = np.array([p for _, _, p in _branch_probabilities(basis, as_matrix(rho), structure)])
-    rng = np.random.default_rng(seed)
-    return rng.choice(basis.size, size=n, p=weights / weights.sum())
+    alpha_of = {idx: k for k, s in enumerate(structure.subspaces) for idx in s.member_indices}
+    pairs = [_stock_pair(basis, structure, k) for k in range(len(structure.subspaces))]
+    outcomes = range(basis.size)
+    phi = np.stack([pairs[alpha_of[a]] for a in outcomes])  # (k, A', P)
+    p = np.stack([structure.subspaces[alpha_of[a]].projector for a in outcomes])  # (k, R, A)
+    v = np.stack([_replacement_rotation(basis, structure, alpha_of[a], a)
+                  for a in outcomes])  # (k, B', P)
+    bra = np.stack(basis.vectors).conj().reshape(-1, na, nb)  # (k, R, B)
+    k = np.einsum("kxp,kra,kyp,krb->kxyab", phi, p, v, bra, optimize=True)
+    return KrausChannel(tuple(k.reshape(basis.size, na * nb, na * nb)), basis.dims)
 
 
 # ---------------------------------------------------------------------------
-# Bell decoherence from local circuits on a shared entangled ancilla
+# Bell decoherence and Bell measurement from local circuits on ancillas
 # ---------------------------------------------------------------------------
 
 def _cnot(n: int, control: int, target: int) -> np.ndarray:
@@ -259,6 +129,11 @@ def _copy_circuit() -> np.ndarray:
     return _cnot(n, 5, 1) @ _cnot(n, 4, 0) @ _cnot(n, 1, 3) @ _cnot(n, 0, 2)
 
 
+def _copy_isometry(ancillas: np.ndarray) -> np.ndarray:
+    """The copy circuit on a fixed ancilla state, indexed (AB out, RS, R'S', AB in)."""
+    return (_copy_circuit().reshape(64, 4, 16) @ ancillas).reshape(4, 4, 4, 4)
+
+
 def bell_circuit_channel() -> KrausChannel:
     """The channel induced on a qubit pair by the two parity-copy circuits.
 
@@ -268,125 +143,51 @@ def bell_circuit_channel() -> KrausChannel:
     leaves exactly decoherence in the Bell basis.
     """
     phi = bell_states()[0]
-    anc = kron_all(phi.reshape(-1, 1), phi.reshape(-1, 1)).reshape(-1)
-    w = (_copy_circuit().reshape(4, 16, 4, 16) @ anc).reshape(4, 16, 4)
-    kraus = tuple(w[:, k, :] for k in range(16))
-    return KrausChannel(kraus, BiDims(2, 2))
+    w = _copy_isometry(np.kron(phi, phi)).reshape(4, 16, 4)
+    return KrausChannel(tuple(w[:, k, :] for k in range(16)), BiDims(2, 2))
 
-
-# ---------------------------------------------------------------------------
-# Bell measurement by swapping entanglement into collected ancillas
-# ---------------------------------------------------------------------------
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
 
-@dataclass(frozen=True)
-class SwapResult:
-    bell_outcome: str
-    pauli_record: dict
-    final_ab: np.ndarray
-    trace: ProtocolTrace
+def swap_outcome(branch: int) -> tuple[int, dict]:
+    """Bell index and correction record of swap branch ``4 * o1 + o2``.
 
-
-def _bell_bit_values(index: int) -> tuple[int, int]:
-    """(parity, phase) eigenvalues, each +-1, of the Bell state at ``index``."""
-    parity = 1 if index < 2 else -1
-    phase = 1 if index in (0, 2) else -1
-    return parity, phase
-
-
-def _bell_index(parity: int, phase: int) -> int:
-    return {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}[(parity, phase)]
-
-
-def entanglement_swap_demo(input_ab: np.ndarray, seed: int = 0) -> SwapResult:
-    """Bell measurement on a product pair realized by measuring collected ancillas.
-
-    Each party copies their qubit's parity onto a fresh |0> ancilla and its
-    phase onto a fresh |+> ancilla with local CNOTs, and the ancillas are
-    measured pairwise in the Bell basis (one ancilla from each party per
-    pair). The first measurement yields the pair's true parity bit plus a
-    random phase outcome; the second yields the phase bit flipped by that
-    stray outcome, plus a random parity outcome. The two stray bits identify
-    a known Pauli error on the leftover pair; undoing it leaves exactly the
-    Bell projection of the input, with Born-rule statistics.
+    Bell index ``2 * parity + phase`` in bits. Outcome o1 on RS carries the
+    pair's parity and a stray phase bit; o2 on R'S' carries the phase flipped
+    by that stray bit, plus a stray parity bit. The stray bits name the Pauli
+    error on the leftover pair.
     """
-    vec = normalize(as_vector(input_ab))
-    if vec.shape != (4,):
-        raise ValueError("input must be a two-qubit state vector")
-    mat = vec.reshape(2, 2)
-    if np.linalg.matrix_rank(mat, tol=1e-9) != 1:
-        raise ValueError("input must be a product state")
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    state = kron_all(vec.reshape(-1, 1), basis_vector(2, 0).reshape(-1, 1),
-                     basis_vector(2, 0).reshape(-1, 1), plus.reshape(-1, 1),
-                     plus.reshape(-1, 1)).reshape(-1)
-    trace = ProtocolTrace()
-    trace.add("Alice", "copy parity onto ancilla R, phase onto ancilla R'")
-    trace.add("Bob", "copy parity onto ancilla S, phase onto ancilla S'")
-    state = _copy_circuit() @ state
-    trace.add("Alice", "mail ancillas R, R' to the measurement lab", comm_direction=A_TO_B,
-              payload_kind="quantum")
-    trace.add("Bob", "hand ancillas S, S' to the measurement lab")
-
-    rng = np.random.default_rng(seed)
-    bells = bell_states()
-    outcome_rs, state = _measure_bell_pair(state, (2, 3), bells, rng)
-    outcome_rr, state = _measure_bell_pair(state, (4, 5), bells, rng)
-    trace.add("Bob", f"Bell outcomes {BELL_LABELS[outcome_rs]} on RS, "
-                     f"{BELL_LABELS[outcome_rr]} on R'S'")
-
-    parity_rs, phase_rs = _bell_bit_values(outcome_rs)
-    parity_rr, phase_rr = _bell_bit_values(outcome_rr)
-    # projection outcome: true parity from RS, phase from R'S' undone by the
-    # stray RS phase; the stray bits name the Pauli error on the leftover pair
-    ab_parity = parity_rs
-    ab_phase = phase_rs * phase_rr
-    phase_flip = phase_rs == -1
-    parity_flip = parity_rr == -1
-    correction = np.eye(2, dtype=complex)
-    if parity_flip:
-        correction = PAULI_X @ correction
-    if phase_flip:
-        correction = PAULI_Z @ correction
+    o1, o2 = divmod(branch, 4)
+    phase_flip, parity_flip = bool(o1 % 2), bool(o2 // 2)
     label = {(False, False): "I", (False, True): "X",
              (True, False): "Z", (True, True): "ZX"}[(phase_flip, parity_flip)]
-    raw_ab = _contract_ancillas(state, bells[outcome_rs], bells[outcome_rr])
-    final_ab = tensor_product(correction, np.eye(2, dtype=complex)) @ raw_ab
-    return SwapResult(
-        BELL_LABELS[_bell_index(ab_parity, ab_phase)],
-        {"correction_on_a": label, "stray_phase_flip": phase_flip,
-         "stray_parity_flip": parity_flip},
-        proj(final_ab),
-        trace,
-    )
+    record = {"correction_on_a": label, "stray_phase_flip": phase_flip,
+              "stray_parity_flip": parity_flip}
+    return 2 * (o1 // 2) + (o1 + o2) % 2, record
 
 
-def _measure_bell_pair(state: np.ndarray, pair: tuple[int, int], bells,
-                       rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Project two adjacent qubits onto the Bell basis, sampling the outcome."""
-    q = pair[0]
-    left = 2 ** q
-    right = 2 ** (6 - q - 2)
-    probs = []
-    collapsed = []
-    t = state.reshape(left, 4, right)
-    for b in bells:
-        amp = np.einsum("ijk,j->ik", t, b.conj())
-        p = float(np.vdot(amp, amp).real)
-        probs.append(p)
-        collapsed.append(np.einsum("ik,j->ijk", amp, b).reshape(-1))
-    probs_arr = np.array(probs)
-    outcome = int(rng.choice(4, p=probs_arr / probs_arr.sum()))
-    return outcome, collapsed[outcome] / np.sqrt(probs_arr[outcome])
+def entanglement_swap_channel() -> KrausChannel:
+    """Bell measurement realized by measuring collected ancillas, one branch per outcome pair.
 
-
-def _contract_ancillas(state: np.ndarray, bell_rs: np.ndarray,
-                       bell_rr: np.ndarray) -> np.ndarray:
-    t = state.reshape(4, 4, 4)
-    ab = np.einsum("ijk,j,k->i", t, bell_rs.conj(), bell_rr.conj())
-    return normalize(ab)
+    Each party copies their qubit's parity onto a fresh |0> ancilla and its
+    phase onto a fresh |+> ancilla with local CNOTs (W), and the ancillas are
+    measured pairwise in the Bell basis, RS with outcome o1 and R'S' with o2.
+    Branch ``4 * o1 + o2`` is ``(C (x) I) <b_o1|_{RS} <b_o2|_{R'S'} W`` with the
+    Pauli correction C of :func:`swap_outcome`; it leaves the input's Bell
+    projection, so the channel is the Bell measurement.
+    """
+    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
+    w = _copy_isometry(kron_all(basis_vector(2, 0), basis_vector(2, 0), plus, plus))
+    bells = np.stack(bell_states()).conj()
+    raw = np.einsum("xrsy,ir,js->ijxy", w, bells, bells, optimize=True).reshape(16, 4, 4)
+    corrections = []
+    for branch in range(16):
+        record = swap_outcome(branch)[1]
+        c = ((PAULI_Z if record["stray_phase_flip"] else I2)
+             @ (PAULI_X if record["stray_parity_flip"] else I2))
+        corrections.append(tensor_product(c, I2))
+    return KrausChannel(tuple(np.stack(corrections) @ raw), BiDims(2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +195,7 @@ def _contract_ancillas(state: np.ndarray, bell_rs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
+PAULI_LABELS = ("I", "X", "Y", "Z")
 
 
 def _quadrant_projectors() -> list[np.ndarray]:
@@ -406,9 +208,10 @@ def _quadrant_projectors() -> list[np.ndarray]:
 def twisted_partition_protocol_kraus(u_b: np.ndarray) -> KrausChannel:
     """Branch-averaged channel of the one-way classical quadrant protocol.
 
-    Branches: Alice's row projection, Bob's column projection, and the shared
-    random Pauli; Bob conjugates his Pauli by the twist exactly on the
-    twisted quadrant. One Kraus operator per branch.
+    Alice measures her row and sends it to Bob, who measures his column; both
+    apply the shared random Pauli, Bob's conjugated by the twist exactly on
+    the twisted quadrant. Branch ``8 * row + 4 * column + pauli`` is one Kraus
+    operator.
     """
     u_b = as_matrix(u_b)
     if not is_unitary(u_b) or u_b.shape != (2, 2):
@@ -424,52 +227,3 @@ def twisted_partition_protocol_kraus(u_b: np.ndarray) -> KrausChannel:
                 k = tensor_product(a_op, b_op) @ tensor_product(blocks[alpha], blocks[beta])
                 kraus.append(k / 2)
     return KrausChannel(tuple(kraus), BiDims(4, 4))
-
-
-@dataclass(frozen=True)
-class TwistedRun:
-    final_state: np.ndarray
-    trace: ProtocolTrace
-    row: int
-    column: int
-
-
-def run_twisted_partition_protocol(u_b: np.ndarray, rho: np.ndarray,
-                                   seed: int = 0) -> TwistedRun:
-    """One sampled run of the quadrant protocol with one classical bit A to B.
-
-    Alice measures her row and sends the outcome with a shared randomness
-    table; Bob measures his column, now knows the quadrant, and both apply
-    the table's Pauli, Bob's conjugated by the twist on the twisted quadrant.
-    """
-    u_b = as_matrix(u_b)
-    rho = as_matrix(rho)
-    if rho.shape != (16, 16):
-        raise ValueError("state must live on the 4x4 bipartite space")
-    blocks = _quadrant_projectors()
-    rng = np.random.default_rng(seed)
-    trace = ProtocolTrace()
-
-    probs_row = [np.trace(tensor_product(blocks[r], np.eye(4)) @ rho).real for r in range(2)]
-    row = int(rng.choice(2, p=np.array(probs_row) / sum(probs_row)))
-    p_row = tensor_product(blocks[row], np.eye(4))
-    rho = p_row @ rho @ p_row / probs_row[row]
-    trace.add("Alice", f"partial measurement: row {row}")
-    trace.add("Alice", "send row bit and randomness table", comm_direction=A_TO_B,
-              payload_kind="classical")
-
-    probs_col = [np.trace(tensor_product(np.eye(4), blocks[c]) @ rho).real for c in range(2)]
-    col = int(rng.choice(2, p=np.array(probs_col) / sum(probs_col)))
-    p_col = tensor_product(np.eye(4), blocks[col])
-    rho = p_col @ rho @ p_col / probs_col[col]
-    trace.add("Bob", f"partial measurement: column {col}")
-
-    sigma = _PAULIS[int(rng.integers(4))]
-    bob_sigma = u_b @ sigma @ dag(u_b) if (row, col) == (1, 1) else sigma
-    op = tensor_product(kron_all(I2, sigma), kron_all(I2, bob_sigma))
-    rho = op @ rho @ dag(op)
-    trace.add("Alice", "apply the table Pauli inside her row")
-    trace.add("Bob", "apply the table Pauli, conjugated by the twist on the twisted quadrant")
-    if not trace.one_way():
-        raise RuntimeError("one-way protocol produced a return payload")
-    return TwistedRun(rho, trace, row, col)

@@ -16,9 +16,7 @@ from qcausal.causality import (
 from qcausal.channels import (
     KrausChannel,
     apply,
-    choi,
-    choi_distance,
-    choi_of_map,
+    channel_distance,
     compose,
     convex_mixture,
     measurement_channel,
@@ -60,7 +58,8 @@ from qcausal.measurements import (
 )
 from qcausal.protocols import (
     bell_circuit_channel,
-    semilocal_measurement_map,
+    entanglement_swap_channel,
+    semilocal_channel,
     twisted_partition_protocol_kraus,
 )
 from qcausal.report import classify_basis, classify_channel
@@ -191,12 +190,12 @@ def test_criterion_4_game_values():
 
 def test_criterion_5_protocol_equivalences():
     rng = np.random.default_rng(505)
-    circuit = choi(bell_circuit_channel())
-    twirl = choi(bell_twirl())
-    direct = choi(measurement_channel(bell_basis()))
-    assert choi_distance(circuit, twirl) < TOL
-    assert choi_distance(circuit, direct) < TOL
-    assert choi_distance(twirl, direct) < TOL
+    circuit = bell_circuit_channel()
+    swap = entanglement_swap_channel()
+    twirl = bell_twirl()
+    direct = measurement_channel(bell_basis())
+    for protocol in (circuit, swap, twirl):
+        assert channel_distance(protocol, direct) < TOL
 
     fixture_bases = [
         bell_basis(),
@@ -206,14 +205,12 @@ def test_criterion_5_protocol_equivalences():
         causal_grid_basis(BiDims(6, 6), 2, rng),
     ]
     for basis in fixture_bases:
-        protocol = choi_of_map(semilocal_measurement_map(basis), basis.dims)
-        assert choi_distance(protocol, choi(measurement_channel(basis))) < TOL
+        assert channel_distance(semilocal_channel(basis), measurement_channel(basis)) < TOL
 
     for u in (np.eye(2, dtype=complex), HADAMARD, PAULI_X):
-        protocol = choi(twisted_partition_protocol_kraus(u))
-        target = choi(measurement_channel(twisted_partition_basis(u)))
-        assert choi_distance(protocol, target) < TOL
-    _report(5, "circuit == twirl == measurement; one-way protocol matches 5 bases; "
+        protocol = twisted_partition_protocol_kraus(u)
+        assert channel_distance(protocol, measurement_channel(twisted_partition_basis(u))) < TOL
+    _report(5, "circuit == swap == twirl == measurement; one-way protocol matches 5 bases; "
                "quadrant protocol matches for identity/Hadamard/X twists")
 
 

@@ -43,6 +43,16 @@ def test_validate_rejects_ragged():
         KrausChannel((np.eye(4, dtype=complex), np.eye(3, dtype=complex)), D22)
 
 
+def test_stacked_is_built_once_and_read_only():
+    ch = measurement_channel(bell_basis())
+    stack = ch.stacked()
+    assert ch.stacked() is stack
+    assert stack.shape == (4, 4, 4) and not stack.flags.writeable
+    assert all(k.base is stack and not k.flags.writeable for k in ch.kraus)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+
+
 def test_apply_identity(rng):
     rho = random_density_matrix(4, rng)
     assert np.allclose(apply(identity_channel(D22), rho), rho)

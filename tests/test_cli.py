@@ -152,6 +152,13 @@ def test_demo_swap(capsys):
     assert "psi" in out
 
 
+def test_demo_shots_below_one_exit_2(capsys):
+    for name in ("semilocal", "swap"):
+        for shots in ("0", "-1"):
+            assert main(["demo", name, "--shots", shots]) == 2
+            assert "--shots" in capsys.readouterr().err
+
+
 def test_build_round_trips(tmp_path, capsys):
     cases = [
         (["build", "andbox"], "channel"),
