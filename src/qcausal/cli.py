@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import json
 import sys
 from importlib import resources
@@ -26,7 +27,14 @@ from .games import (
 )
 from .linalg import HADAMARD, PAULI_X, basis_vector, proj
 from .localizability import mismatch_basis, twisted_partition_basis
-from .measurements import OrthogonalBasis, bell_basis, completion_basis, conditional_basis, incomplete_bell_channel
+from .measurements import (
+    OrthogonalBasis,
+    bell_basis,
+    completion_basis,
+    conditional_basis,
+    incomplete_bell_channel,
+    semicausal_basis_test,
+)
 from .protocols import (
     BELL_LABELS,
     PAULI_LABELS,
@@ -116,6 +124,12 @@ def _demo_semilocal(args: argparse.Namespace) -> int:
     obj = load_document(_resolve_input(args.basis))
     if not isinstance(obj, OrthogonalBasis):
         print("error: semilocal demo needs a basis file", file=sys.stderr)
+        return 2
+    verdict = semicausal_basis_test(obj, "A")
+    if not verdict.semicausal:
+        print("error: semilocal demo needs a basis that blocks B->A signaling; this one "
+              f"fails the pairwise criterion on side A at pair {verdict.violating_pair}",
+              file=sys.stderr)
         return 2
     protocol = semilocal_channel(obj)
     rho = proj(sum(obj.vectors) / np.sqrt(obj.size))
@@ -261,8 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse fills a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -300,7 +300,7 @@ def _cell_shift(basis: OrthogonalBasis, src_idx: int, dst_idx: int, side: str) -
     local Schmidt frame to the frame the destination pairs with the source's
     other-side frame, and is completed arbitrarily elsewhere.
     """
-    coeffs, own, other = _split_schmidt(basis.vectors[src_idx], basis.dims, side)
+    coeffs, own, other = _split_schmidt(basis, src_idx, side)
     dst = basis.vectors[dst_idx].reshape(basis.dims)
     if side == "B":
         dst = dst.T

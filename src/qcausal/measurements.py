@@ -17,11 +17,11 @@ construction is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel, apply_to_vector, measurement_channel
+from .channels import KrausChannel
 from .linalg import (
     ATOL,
     SUPPORT_CUTOFF,
@@ -31,9 +31,7 @@ from .linalg import (
     frobenius,
     haar_unitary,
     mat_close,
-    partial_trace,
     proj,
-    schmidt_coefficients,
     schmidt_vectors,
     tensor_product,
     trace_distance,
@@ -44,24 +42,35 @@ WITNESS_THRESHOLD = 1e-6
 
 @dataclass(frozen=True)
 class OrthogonalBasis:
-    """An ordered orthonormal basis of a bipartite space."""
+    """An ordered orthonormal basis of a bipartite space.
+
+    The vectors are copied once into a read-only (n, n) array whose row k is
+    vector k; ``vectors`` holds views of its rows. Tables derived from them
+    (reduced states, pair norms, Schmidt data) are computed on first use and
+    kept with the instance.
+    """
 
     vectors: tuple[np.ndarray, ...]
     dims: BiDims
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vecs = tuple(as_vector(v) for v in self.vectors)
+        vecs = [as_vector(v) for v in self.vectors]
         n = self.dims.total
         if len(vecs) != n:
             raise ValueError(f"basis has {len(vecs)} vectors, expected {n}")
         for v in vecs:
             if v.shape != (n,):
                 raise ValueError(f"basis vector length {v.shape[0]} != {n}")
-        gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
-        dev = frobenius(gram - np.eye(n))
+        rows = np.stack(vecs)
+        rows.flags.writeable = False
+        dev = frobenius(rows.conj() @ rows.T - np.eye(n))
         if dev > ATOL * n:
             raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.2e})")
-        object.__setattr__(self, "vectors", vecs)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "vectors", tuple(rows))
+        object.__setattr__(self, "_cache", {})
 
     @property
     def size(self) -> int:
@@ -123,43 +132,88 @@ def _other(side: str) -> str:
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
+@dataclass(frozen=True)
+class _PairTables:
+    """One side's reduced states and the Frobenius norms of their pairwise
+    differences ``diff[a, b] = ||s_a - s_b||`` and products
+    ``prod[a, b] = ||s_a s_b||``. No tolerance enters: callers compare."""
+
+    sigmas: np.ndarray
+    diff: np.ndarray
+    prod: np.ndarray
+
+
+def _pair_tables(basis: OrthogonalBasis, side: str) -> _PairTables:
+    """The side's pair tables, built once per basis in one pass over all pairs."""
+    other = _other(side)
+    tables = basis._cache.get(side)
+    if tables is None:
+        na, nb = basis.dims
+        rows = basis._rows
+        # the elementwise outer products, then np.trace over the other factor:
+        # bit for bit the per-vector partial_trace(proj(v)), on which the
+        # witness order's ties are broken
+        t = (rows[:, :, None] * rows.conj()[:, None, :]).reshape(-1, na, nb, na, nb)
+        sigmas = np.trace(t, axis1=2, axis2=4) if other == "B" else np.trace(t, axis1=1, axis2=3)
+        sigmas.flags.writeable = False
+        # differences taken directly: expanding ||a||^2 + ||b||^2 - 2 Re<a, b>
+        # cancels to noise near the tol * n bar and flips near-ties
+        diff = np.linalg.norm(sigmas[:, None] - sigmas[None, :], axis=(2, 3))
+        prod = np.linalg.norm(sigmas[:, None] @ sigmas[None, :], axis=(2, 3))
+        tables = basis._cache[side] = _PairTables(sigmas, diff, prod)
+    return tables
+
+
 def reduced_states(basis: OrthogonalBasis, side: str) -> list[np.ndarray]:
     """Reduced projectors on ``side``: trace each |a><a| over the other factor.
 
     Each has unit trace, and they sum to (dim of the other side) * identity,
-    so scaled by that dimension they form a POVM.
+    so scaled by that dimension they form a POVM. The arrays are read-only
+    views of the basis's cached tables.
     """
-    other = _other(side)
-    return [partial_trace(proj(v), basis.dims, other) for v in basis.vectors]
+    return list(_pair_tables(basis, side).sigmas)
+
+
+def _bar(basis: OrthogonalBasis, tol: float) -> float:
+    return tol * max(1.0, basis.dims.total)
 
 
 def semicausal_basis_test(basis: OrthogonalBasis, side: str, tol: float = ATOL) -> BasisVerdict:
     """Pairwise identical-or-orthogonal test on the reduced states of ``side``.
 
     Passing on side A means the measurement lets no signal reach A (the other
-    party cannot signal); the first violating pair is reported otherwise.
+    party cannot signal); the first violating pair (in row-major order) is
+    reported otherwise.
     """
-    sigmas = reduced_states(basis, side)
-    scale = max(1.0, basis.dims.total)
-    for a in range(len(sigmas)):
-        for b in range(a + 1, len(sigmas)):
-            identical = frobenius(sigmas[a] - sigmas[b]) < tol * scale
-            orthogonal = frobenius(sigmas[a] @ sigmas[b]) < tol * scale
-            if not (identical or orthogonal):
-                return BasisVerdict(False, (a, b))
+    t = _pair_tables(basis, side)
+    bar = _bar(basis, tol)
+    violating = np.argwhere(np.triu(~((t.diff < bar) | (t.prod < bar)), 1))
+    if len(violating):
+        a, b = violating[0]
+        return BasisVerdict(False, (int(a), int(b)))
     return BasisVerdict(True)
 
 
-def _group_by_equality(sigmas: list[np.ndarray], tol: float) -> list[list[int]]:
+def _group_by_equality(close: list[list[bool]]) -> list[list[int]]:
+    """Group indices by the first earlier group leader they are ``close`` to."""
     groups: list[list[int]] = []
-    for idx, sig in enumerate(sigmas):
+    for idx, row in enumerate(close):
         for g in groups:
-            if mat_close(sig, sigmas[g[0]], tol):
+            if row[g[0]]:
                 g.append(idx)
                 break
         else:
             groups.append([idx])
     return groups
+
+
+def _schmidt_coefficients(basis: OrthogonalBasis) -> np.ndarray:
+    """Descending Schmidt coefficients of every basis vector, one batched SVD."""
+    coeffs = basis._cache.get("schmidt_coefficients")
+    if coeffs is None:
+        coeffs = np.linalg.svd(basis._rows.reshape(-1, *basis.dims), compute_uv=False)
+        basis._cache["schmidt_coefficients"] = coeffs
+    return coeffs
 
 
 def _support_projector(sigma: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tuple[np.ndarray, int]:
@@ -184,25 +238,26 @@ def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
                          f"at pair {verdict.violating_pair}")
     n_side = basis.dims.dim_a if side == "A" else basis.dims.dim_b
     n_other = basis.dims.total // n_side
-    sigmas = reduced_states(basis, side)
-    scale = max(1.0, basis.dims.total)
+    t = _pair_tables(basis, side)
+    bar = _bar(basis, tol)
+    coeffs = _schmidt_coefficients(basis)
     subspaces = []
-    for g in _group_by_equality(sigmas, tol * scale):
-        p, dim = _support_projector(sigmas[g[0]])
-        if not mat_close(sigmas[g[0]], p / dim, tol * scale):
+    for g in _group_by_equality((t.diff < bar).tolist()):
+        sigma = t.sigmas[g[0]]
+        p, dim = _support_projector(sigma)
+        if not mat_close(sigma, p / dim, bar):
             raise ValueError("reduced state is not a normalized subspace projector")
         if len(g) != n_other * dim:
             raise ValueError(f"subspace of dimension {dim} holds {len(g)} states, "
                              f"expected {n_other * dim}")
         expected = np.where(np.arange(min(basis.dims)) < dim, 1 / np.sqrt(dim), 0.0)
-        for idx in g:
-            coeffs = schmidt_coefficients(basis.vectors[idx], basis.dims)
-            if np.any(np.abs(coeffs - expected) > tol * scale):
-                raise ValueError(f"basis state {idx} is not maximally entangled "
-                                 f"over its {dim}-dimensional subspace")
+        off = np.nonzero(np.any(np.abs(coeffs[g] - expected) > bar, axis=1))[0]
+        if len(off):
+            raise ValueError(f"basis state {g[off[0]]} is not maximally entangled "
+                             f"over its {dim}-dimensional subspace")
         subspaces.append(Subspace(p, dim, tuple(g)))
     total = sum(s.projector for s in subspaces)
-    if not mat_close(total, np.eye(n_side), tol * scale):
+    if not mat_close(total, np.eye(n_side), bar):
         raise ValueError("subspace projectors do not resolve the identity")
     return PartitionStructure(side, tuple(subspaces))
 
@@ -244,8 +299,8 @@ def _witness_unitary(basis: OrthogonalBasis, b_idx: int, a_idx: int, side: str) 
     so all matched overlaps add constructively.
     """
     dims = basis.dims
-    _, a_recv, a_send = _split_schmidt(basis.vectors[a_idx], dims, side)
-    _, b_recv, b_send = _split_schmidt(basis.vectors[b_idx], dims, side)
+    _, a_recv, a_send = _split_schmidt(basis, a_idx, side)
+    _, b_recv, b_send = _split_schmidt(basis, b_idx, side)
     overlaps = np.array([[np.vdot(ar, br) for br in b_recv] for ar in a_recv])
     order = np.dstack(np.unravel_index(np.argsort(-np.abs(overlaps), axis=None), overlaps.shape))[0]
     pairs: list[tuple[int, int]] = []
@@ -269,9 +324,14 @@ def _witness_unitary(basis: OrthogonalBasis, b_idx: int, a_idx: int, side: str) 
     return _frame_map_unitary(sources, targets, n_send)
 
 
-def _split_schmidt(vec, dims: BiDims, side: str):
-    """Schmidt data ordered as (coeffs, receiver-side frame, sender-side frame)."""
-    coeffs, a_vecs, b_vecs = schmidt_vectors(vec, dims)
+def _split_schmidt(basis: OrthogonalBasis, idx: int, side: str):
+    """Schmidt data of basis vector ``idx`` ordered as (coeffs, receiver-side
+    frame, sender-side frame); each vector is decomposed once per basis."""
+    done = basis._cache.setdefault("schmidt_vectors", {})
+    idx = int(idx)
+    if idx not in done:
+        done[idx] = schmidt_vectors(basis.vectors[idx], basis.dims)
+    coeffs, a_vecs, b_vecs = done[idx]
     if side == "A":
         return coeffs, a_vecs, b_vecs
     return coeffs, b_vecs, a_vecs
@@ -309,40 +369,28 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
     verdict = semicausal_basis_test(basis, side, tol)
     if verdict.semicausal:
         raise ValueError(f"basis passes the pairwise criterion on side {side}; no witness exists")
-    sigmas = reduced_states(basis, side)
-    scale = max(1.0, basis.dims.total)
-    n = len(sigmas)
-    overlap = [[frobenius(sigmas[a] @ sigmas[b]) > tol * scale for b in range(n)] for a in range(n)]
-    distinct = [[not mat_close(sigmas[a], sigmas[b], tol * scale) for b in range(n)] for a in range(n)]
-    candidates = [
-        b for b in range(n)
-        if any(overlap[b][a] and distinct[b][a] for a in range(n))
-    ]
-    candidates.sort(key=lambda b: (-frobenius(sigmas[b]), b))
-    ch = measurement_channel(basis)
+    t = _pair_tables(basis, side)
+    bar = _bar(basis, tol)
+    steerable = (t.prod > bar) & ~(t.diff < bar)  # overlapping and distinct
+    candidates = [int(b) for b in np.nonzero(steerable.any(axis=1))[0]]
+    candidates.sort(key=lambda b: (-frobenius(t.sigmas[b]), b))
     for b_idx in candidates:
-        for a_idx in range(n):
-            if not (overlap[b_idx][a_idx] and distinct[b_idx][a_idx]):
-                continue
+        vec = basis.vectors[b_idx].reshape(basis.dims)
+        plain = _receiver_output(basis, t.sigmas, vec)
+        for a_idx in np.nonzero(steerable[b_idx])[0]:
             u = _witness_unitary(basis, b_idx, a_idx, side)
-            sep = _witness_separation(ch, basis, b_idx, u, side)
+            steered = vec @ u.T if side == "A" else u @ vec
+            sep = trace_distance(plain, _receiver_output(basis, t.sigmas, steered))
             if sep > WITNESS_THRESHOLD:
                 return BasisWitness(side, b_idx, u, sep)
     return None
 
 
-def _witness_separation(ch: KrausChannel, basis: OrthogonalBasis, b_idx: int,
-                        u: np.ndarray, side: str) -> float:
-    na, nb = basis.dims
-    if side == "A":
-        full = tensor_product(np.eye(na, dtype=complex), u)
-    else:
-        full = tensor_product(u, np.eye(nb, dtype=complex))
-    vec = basis.vectors[b_idx]
-    other = _other(side)
-    out_plain = partial_trace(apply_to_vector(ch, vec), basis.dims, other)
-    out_steered = partial_trace(apply_to_vector(ch, full @ vec), basis.dims, other)
-    return trace_distance(out_plain, out_steered)
+def _receiver_output(basis: OrthogonalBasis, sigmas: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The receiver's reduced output when the measurement acts on the pure input
+    ``w``: sum_c |<c|w>|^2 sigma_c, read off the reduced-state table."""
+    weights = np.abs(basis._rows.conj() @ w.reshape(-1)) ** 2
+    return np.tensordot(weights, sigmas, axes=1)
 
 
 # ---------------------------------------------------------------------------

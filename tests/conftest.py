@@ -22,12 +22,13 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def near_causal_basis():
     """A 4x4 grid with cell size 2 turned by exp(i 1e-7 H) for a random Hermitian H.
 
     It signals, but every basis-steering pair and IC probe pair separates the
-    receiver's outputs by less than 1e-6.
+    receiver's outputs by less than 1e-6. Shared by the session: a basis is
+    immutable, and tests that count work on a fresh basis copy it.
     """
     rng = np.random.default_rng(3)
     basis = causal_grid_basis(BiDims(4, 4), 2)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import qcausal
 from qcausal.cli import main
 from qcausal.serialize import dump_document, load_document
 
@@ -117,6 +121,25 @@ def test_near_causal_basis_follows_tol(tmp_path, capsys, near_causal_basis):
     assert doc["localizability"].startswith("localizable by construction")
 
 
+def test_reused_parser_keeps_calls_independent(tmp_path, capsys, near_causal_basis):
+    # main builds its parser once per process; each call must still print what
+    # a fresh process prints, so no option of one call reaches the next
+    path = str(tmp_path / "near_causal.json")
+    dump_document(near_causal_basis, path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qcausal.__file__)))
+    outputs = []
+    for flags in (["--json", "--tol", "1e-5"], ["--json"], []):
+        argv = ["classify", path, *flags]
+        fresh = subprocess.run([sys.executable, "-m", "qcausal.cli", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert main(argv) == fresh.returncode == 0
+        outputs.append(capsys.readouterr().out)
+        assert outputs[-1] == fresh.stdout
+    assert json.loads(outputs[0])["causal"]
+    assert not json.loads(outputs[1])["causal"]
+    assert outputs[2].startswith("input: basis")
+
+
 def test_demo_chsh_values(capsys):
     assert main(["demo", "chsh"]) == 0
     out = capsys.readouterr().out
@@ -144,6 +167,13 @@ def test_demo_semilocal_histogram(capsys):
     assert main(["demo", "semilocal", "--basis", "bell_basis.json", "--shots", "32"]) == 0
     out = capsys.readouterr().out
     assert "histogram" in out
+
+
+def test_demo_semilocal_rejects_basis_that_signals_to_a(capsys):
+    # the one-way A->B protocol needs a basis that blocks B->A: a bad argument
+    assert main(["demo", "semilocal", "--basis", "completion_basis.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "side A" in err
 
 
 def test_demo_swap(capsys):

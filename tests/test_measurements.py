@@ -3,7 +3,9 @@ import pytest
 
 from qcausal.channels import apply, measurement_channel
 from qcausal.linalg import BiDims, HADAMARD, haar_unitary, partial_trace, proj, trace_distance
+import qcausal.measurements as measurements
 from qcausal.measurements import (
+    OrthogonalBasis,
     basis_signaling_witness,
     bell_basis,
     causal_grid_basis,
@@ -159,6 +161,32 @@ def test_witness_is_none_when_no_pair_clears_the_bar(near_causal_basis):
     for side in "AB":
         assert not semicausal_basis_test(near_causal_basis, side).semicausal
         assert basis_signaling_witness(near_causal_basis, side) is None
+
+
+def test_witness_decomposes_each_vector_at_most_once(monkeypatch, near_causal_basis):
+    # every overlapping, distinct pair is tried on this basis, and each pair
+    # needs both states' Schmidt frames; they are taken once per vector
+    calls = []
+    schmidt_vectors = measurements.schmidt_vectors
+    monkeypatch.setattr(measurements, "schmidt_vectors",
+                        lambda *args: calls.append(args) or schmidt_vectors(*args))
+    for side in "AB":
+        basis = OrthogonalBasis(near_causal_basis.vectors, near_causal_basis.dims)
+        calls.clear()
+        assert basis_signaling_witness(basis, side) is None
+        assert 0 < len(calls) <= basis.size
+
+
+def test_tables_are_built_once_and_read_only():
+    vecs = [v.copy() for v in conditional_basis().vectors]
+    basis = OrthogonalBasis(tuple(vecs), D22)
+    vecs[0][:] = 0  # the basis keeps its own copy
+    assert np.linalg.norm(basis.vectors[0]) == pytest.approx(1.0)
+    first, again = reduced_states(basis, "A"), reduced_states(basis, "A")
+    assert all(np.shares_memory(s, t) for s, t in zip(first, again))
+    for arr in (basis.vectors[0], first[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_structure_follows_tol(near_causal_basis):
