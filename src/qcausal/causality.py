@@ -10,6 +10,12 @@ the product input, and the probe states |i>, (|i>+|j>)/sqrt(2) and
 separates the receiver's outputs iff the channel signals. A returned witness
 is a working signaling protocol that replays on the Kraus operators.
 
+The scan eigendecomposes only the probe-pair differences that can win: for a
+difference X of receiver outputs, ||X||_F <= ||X||_1 <= sqrt(d_out) ||X||_F,
+so once one pair's trace norm is known, a pair whose bound sqrt(d_out) ||X||_F
+falls below it by more than ``PRUNE_MARGIN`` cannot be the maximum. Among the
+maxima the first in (receiver probe, sender pair) row-major order wins.
+
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
 receiver states), but those appear in this package only as the branch Kraus
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +36,8 @@ from .linalg import ATOL, BiDims, frobenius, is_unitary, operator_schmidt, trace
 B_TO_A = "BtoA"
 A_TO_B = "AtoB"
 SEARCH_THRESHOLD = 1e-6
+# Relative slack on the trace-norm bound of the witness scan, far above rounding.
+PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,15 +125,40 @@ def _receiver_output(kraus_stack: np.ndarray, dims: BiDims, direction: str,
     return np.einsum("kab,kac->bc", w, w.conj())
 
 
-def _ic_probes(d: int) -> np.ndarray:
-    """d**2 pure states whose projectors span the d x d matrices, one per row:
-    |i>, then (|i>+|j>)/sqrt(2) and (|i>+i|j>)/sqrt(2) for each i < j."""
+@lru_cache(maxsize=None)
+def _ic_probes(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One side's IC probes and their pairs, built once per dimension, read-only.
+
+    The d**2 probe states, one per row, are |i>, then (|i>+|j>)/sqrt(2) and
+    (|i>+i|j>)/sqrt(2) for each i < j; their projectors |p><p| span the d x d
+    matrices. Returned with those projectors flattened to rows and the index
+    arrays (first, second) of every probe pair in row-major order.
+    """
     eye = np.eye(d, dtype=complex)
     states = list(eye)
     for i in range(d):
         for j in range(i + 1, d):
             states += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
-    return np.array(states)
+    probes = np.array(states)
+    projectors = (probes[:, :, None] * probes[:, None, :].conj()).reshape(len(probes), -1)
+    first, second = np.triu_indices(len(probes), 1)
+    tables = (probes, projectors, first, second)
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _probe_outputs(t: np.ndarray, recv_proj: np.ndarray, send_proj: np.ndarray) -> np.ndarray:
+    """Receiver outputs for every (receiver probe, sender probe), flattened:
+    ``out[p, q] = tr_in[(|p><p| (x) |q><q|) t]`` as two matrix products."""
+    dr, ds, do = t.shape[:3]
+    x = t.transpose(0, 3, 1, 4, 2, 5).reshape(dr * dr, -1)  # (rR, sS oO)
+    y = (recv_proj @ x).reshape(len(recv_proj), ds * ds, do * do)
+    return send_proj @ y
+
+
+def _trace_distances(diffs: np.ndarray, d_out: int) -> np.ndarray:
+    return 0.5 * np.abs(np.linalg.eigvalsh(diffs.reshape(-1, d_out, d_out))).sum(axis=-1)
 
 
 def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
@@ -132,25 +166,40 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
 
     Every receiver probe meets every pair of sender probes (:func:`_ic_probes`);
     the receiver probe and sender pair whose outputs lie furthest apart in
-    trace distance make the witness, first in index order on ties. Its
-    separation is recomputed from the Kraus operators, so it replays. Returns
-    nothing when the best separation is at most ``SEARCH_THRESHOLD``: the
-    channel then blocks signaling, or signals so weakly that no probe pair
-    shows it above that threshold.
+    trace distance make the witness, the first in row-major (probe, pair)
+    order on ties. Only candidates are eigendecomposed: the pair with the
+    largest Frobenius difference sets a floor (its trace distance), and a pair
+    whose bound ``sqrt(d_out) ||X||_F / 2`` stays below that floor by more than
+    ``PRUNE_MARGIN`` cannot reach the maximum. The witness's separation is
+    recomputed from the Kraus operators, so it replays. Returns nothing when
+    the best separation is at most ``SEARCH_THRESHOLD``: the channel then
+    blocks signaling, or signals so weakly that no probe pair shows it above
+    that threshold.
     """
     t = _marginal(ch, direction)
-    recv, send = _ic_probes(t.shape[0]), _ic_probes(t.shape[1])
-    out = np.einsum("pr,pR,rsoRSO,qs,qS->pqoO", recv, recv.conj(), t, send, send.conj(),
-                    optimize=True)
-    i, j = np.triu_indices(len(send), 1)
-    best, p, q, q_alt = 0.0, 0, 0, 0
-    for k, row in enumerate(out):
-        dist = 0.5 * np.abs(np.linalg.eigvalsh(row[i] - row[j])).sum(axis=-1)
-        if dist.size and dist.max() > best:
-            m = int(dist.argmax())
-            best, p, q, q_alt = dist[m], k, i[m], j[m]
+    d_out = t.shape[2]
+    recv, recv_proj, _, _ = _ic_probes(t.shape[0])
+    send, send_proj, first, second = _ic_probes(t.shape[1])
+    out = _probe_outputs(t, recv_proj, send_proj)
+    p = q = q_alt = 0
+    if len(first):
+        # One row of differences at a time keeps peak memory at one row.
+        fro = np.array([np.linalg.norm(row[first] - row[second], axis=-1) for row in out])
+        top = np.unravel_index(int(fro.argmax()), fro.shape)
+        floor = _trace_distances(out[top[0], first[top[1]]] - out[top[0], second[top[1]]],
+                                 d_out)[0]
+        bound = 0.5 * math.sqrt(d_out) * fro
+        rows, pairs = np.nonzero(bound >= floor * (1 - PRUNE_MARGIN))
+        best = 0.0
+        # Candidates in row-major order, at most one row's worth per batch.
+        for start in range(0, len(rows), len(first)):
+            r, m = rows[start:start + len(first)], pairs[start:start + len(first)]
+            dist = _trace_distances(out[r, first[m]] - out[r, second[m]], d_out)
+            k = int(dist.argmax())
+            if dist[k] > best:
+                best, p, q, q_alt = dist[k], int(r[k]), int(first[m[k]]), int(second[m[k]])
     stack = ch.stacked()
-    phi, psi, psi_prime = recv[p], send[q], send[q_alt]
+    phi, psi, psi_prime = recv[p].copy(), send[q].copy(), send[q_alt].copy()
     separation = trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),
                                 _receiver_output(stack, ch.dims, direction, phi, psi_prime))
     if separation <= SEARCH_THRESHOLD:

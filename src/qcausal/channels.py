@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import ATOL, BiDims, as_matrix, dag, frobenius, mat_close
+from .linalg import ATOL, BiDims, _all_finite, as_matrix, dag, frobenius, mat_close
 
 
 @dataclass(frozen=True)
@@ -25,12 +25,14 @@ class KrausChannel:
     def __post_init__(self):
         if not self.kraus:
             raise ValueError("channel needs at least one Kraus operator")
-        mats = [as_matrix(k) for k in self.kraus]
+        mats = [np.asarray(k, dtype=complex) for k in self.kraus]
         n = self.dims.total
         for k in mats:
             if k.shape != (n, n):
                 raise ValueError(f"Kraus operator shape {k.shape} != ({n}, {n})")
         stack = np.stack(mats)
+        if not _all_finite(stack):
+            raise ValueError("matrix has non-finite entries")
         stack.flags.writeable = False
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
@@ -81,7 +83,7 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if mat.shape != (ch.dim, ch.dim):
         raise ValueError(f"state shape {mat.shape} != ({ch.dim}, {ch.dim})")
     ks = ch.stacked()
-    return np.einsum("kij,jl,kml->im", ks, mat, ks.conj(), optimize=True)
+    return (ks @ mat @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_to_vector(ch: KrausChannel, psi: np.ndarray) -> np.ndarray:

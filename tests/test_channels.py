@@ -43,6 +43,14 @@ def test_validate_rejects_ragged():
         KrausChannel((np.eye(4, dtype=complex), np.eye(3, dtype=complex)), D22)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_entry_in_last_kraus_operator_raises(bad):
+    last = np.eye(4, dtype=complex) / np.sqrt(2)
+    last[3, 2] = bad
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        KrausChannel((np.eye(4, dtype=complex) / np.sqrt(2), last), D22)
+
+
 def test_stacked_is_built_once_and_read_only():
     ch = measurement_channel(bell_basis())
     stack = ch.stacked()

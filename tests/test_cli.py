@@ -92,6 +92,16 @@ def test_classify_parse_error(tmp_path, capsys):
     assert main(["classify", str(bad)]) == 2
 
 
+def test_classify_non_finite_channel_exit_2(tmp_path, capsys):
+    data = [[1.0 if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+    data[5] = [float("nan"), 0.0]
+    doc = {"dimA": 2, "dimB": 2, "kraus": [{"rows": 4, "cols": 4, "data": data}]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 2
+    assert "matrix has non-finite entries" in capsys.readouterr().err
+
+
 def test_classify_invariant_failure(tmp_path, capsys):
     # a subnormalized channel is rejected with exit code 3
     doc = {

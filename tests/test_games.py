@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcausal.causality import causal_test
-from qcausal.channels import apply, choi, validate
+from qcausal.channels import KrausChannel, apply, choi, validate
 from qcausal.games import (
     CIRELSON_VALUE,
     ClassicalStrategy,
@@ -160,6 +160,25 @@ def test_channel_game_value_depolarizing():
     assert validate(depolarize).tp
     assert np.allclose(apply(depolarize, proj([1, 0, 0, 0])), np.eye(4) / 4)
     assert channel_game_value(depolarize) == pytest.approx(0.5)
+
+
+def _reference_game_value(ch):
+    """The game value from four full channel applications, one per input."""
+    p = 0.0
+    for x, y in product((0, 1), repeat=2):
+        rho_out = apply(ch, proj(np.eye(4)[2 * x + y]))
+        for a, b in product((0, 1), repeat=2):
+            if (a ^ b) == (x & y):
+                p += rho_out[2 * a + b, 2 * a + b].real
+    return p / 4
+
+
+def test_channel_game_value_matches_apply_enumeration(rng):
+    for count in (1, 2, 3, 4):
+        for _ in range(5):
+            iso = haar_unitary(4 * count, rng)[:, :4]
+            ch = KrausChannel(tuple(iso[4 * k:4 * (k + 1)] for k in range(count)), D22)
+            assert abs(channel_game_value(ch) - _reference_game_value(ch)) < 1e-14
 
 
 def test_ip_demo_values():

@@ -1,0 +1,147 @@
+"""The pruned IC-probe witness scan against the exhaustive scan it replaced.
+
+The reference below builds the probes afresh, contracts the Choi marginal with
+one planned einsum, and eigendecomposes every (receiver probe, sender pair)
+difference one row at a time, keeping the first maximum in row-major order, as
+``signaling_search`` did before it pruned pairs by the trace-norm bound.
+"""
+
+from importlib import resources
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcausal.causality import (
+    A_TO_B,
+    B_TO_A,
+    SEARCH_THRESHOLD,
+    _ic_probes,
+    _marginal,
+    _receiver_output,
+    signaling_search,
+)
+from qcausal.channels import KrausChannel, measurement_channel
+from qcausal.linalg import BiDims, haar_unitary, tensor_product, trace_distance
+from qcausal.serialize import load_document
+from qcausal.twirl import bell_twirl
+
+
+def _reference_probes(d):
+    eye = np.eye(d, dtype=complex)
+    states = list(eye)
+    for i in range(d):
+        for j in range(i + 1, d):
+            states += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
+    return np.array(states)
+
+
+def reference_search(ch, direction):
+    """(phi, psi, psi_prime, separation) from the exhaustive row loop, or None."""
+    t = _marginal(ch, direction)
+    recv, send = _reference_probes(t.shape[0]), _reference_probes(t.shape[1])
+    out = np.einsum("pr,pR,rsoRSO,qs,qS->pqoO", recv, recv.conj(), t, send, send.conj(),
+                    optimize=True)
+    i, j = np.triu_indices(len(send), 1)
+    best, p, q, q_alt = 0.0, 0, 0, 0
+    for k, row in enumerate(out):
+        dist = 0.5 * np.abs(np.linalg.eigvalsh(row[i] - row[j])).sum(axis=-1)
+        if dist.size and dist.max() > best:
+            m = int(dist.argmax())
+            best, p, q, q_alt = dist[m], k, i[m], j[m]
+    stack = ch.stacked()
+    phi, psi, psi_prime = recv[p], send[q], send[q_alt]
+    separation = trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),
+                                _receiver_output(stack, ch.dims, direction, phi, psi_prime))
+    if separation <= SEARCH_THRESHOLD:
+        return None
+    return phi, psi, psi_prime, float(separation)
+
+
+def _assert_search_matches_reference(name, ch):
+    for direction in (B_TO_A, A_TO_B):
+        expected = reference_search(ch, direction)
+        found = signaling_search(ch, direction)
+        if expected is None:
+            assert found is None, (name, direction)
+            continue
+        assert found is not None, (name, direction)
+        phi, psi, psi_prime, separation = expected
+        assert np.array_equal(found.phi, phi), (name, direction)
+        assert np.array_equal(found.psi, psi), (name, direction)
+        assert np.array_equal(found.psi_prime, psi_prime), (name, direction)
+        assert found.separation == separation, (name, direction)
+
+
+def _controlled_unitary(u):
+    nb = u.shape[0]
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    return KrausChannel((np.kron(p0, np.eye(nb)) + np.kron(p1, u),), BiDims(2, nb))
+
+
+def _random_kraus(dims, count, rng):
+    """The blocks of a Haar isometry, so sum K^dag K = I."""
+    n = dims.total
+    iso = haar_unitary(n * count, rng)[:, :n]
+    return KrausChannel(tuple(iso[k * n:(k + 1) * n] for k in range(count)), dims)
+
+
+def _fixture(name):
+    return load_document(str(resources.files("qcausal") / "fixtures" / name))
+
+
+def test_search_matches_exhaustive_scan(near_causal_basis):
+    rng = np.random.default_rng(8)
+    cnot = np.array([[0, 1], [1, 0]], dtype=complex)
+    channels = [
+        ("sorkin", _fixture("sorkin.json")),
+        ("andbox", _fixture("andbox.json")),
+        ("controlled-not", _controlled_unitary(cnot)),
+        ("controlled-2x2", _controlled_unitary(haar_unitary(2, rng))),
+        ("controlled-2x3", _controlled_unitary(haar_unitary(3, rng))),
+        ("bell-twirl", bell_twirl()),
+        ("near-causal", measurement_channel(near_causal_basis)),
+    ]
+    for name, ch in channels:
+        _assert_search_matches_reference(name, ch)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_search_matches_exhaustive_scan_in_random_frames(na, nb, count, seed):
+    rng = np.random.default_rng(seed)
+    dims = BiDims(na, nb)
+    ch = _random_kraus(dims, count, rng)
+    before = tensor_product(haar_unitary(na, rng), haar_unitary(nb, rng))
+    after = tensor_product(haar_unitary(na, rng), haar_unitary(nb, rng))
+    moved = KrausChannel(tuple(after @ k @ before for k in ch.kraus), dims)
+    _assert_search_matches_reference(f"random {na}x{nb} k={count}", moved)
+
+
+def test_search_eigendecomposes_fewer_than_half_of_the_pairs(monkeypatch):
+    rng = np.random.default_rng(17)
+    ch = KrausChannel((haar_unitary(16, rng),), BiDims(4, 4))
+    n_probes = 16
+    pairs = n_probes * n_probes * (n_probes - 1) // 2  # receiver probes x sender pairs
+    eigvalsh = np.linalg.eigvalsh
+    counted = []
+
+    def counting(a, *args, **kwargs):
+        a = np.asarray(a)
+        counted.append(int(np.prod(a.shape[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for direction in (B_TO_A, A_TO_B):
+        counted.clear()
+        assert signaling_search(ch, direction) is not None
+        assert sum(counted) < pairs / 2, (direction, sum(counted), pairs)
+
+
+def test_probe_tables_are_cached_and_read_only():
+    tables = _ic_probes(3)
+    assert _ic_probes(3) is tables
+    assert all(not arr.flags.writeable for arr in tables)
+    with pytest.raises(ValueError):
+        tables[0][0, 0] = 1.0
