@@ -84,7 +84,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 3
     doc = report.to_json()
     if args.json:
-        print(json.dumps(doc, indent=1))
+        print(json.dumps(doc))
         return 0
     print(f"input: {report.input_kind} on {report.dims.dim_a} x {report.dims.dim_b}")
     print(f"trace preserving: {report.tp} (deviation {report.tp_deviation:.2e})")

@@ -44,7 +44,7 @@ class BiDims(NamedTuple):
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag)))
+    return bool(np.isfinite(arr).all())
 
 
 def as_matrix(m) -> np.ndarray:
@@ -57,14 +57,18 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def as_vector(v) -> np.ndarray:
-    """Coerce to a 1-D complex array (column vectors are flattened)."""
+def as_vector(v, check_finite: bool = True) -> np.ndarray:
+    """Coerce to a 1-D complex array (column vectors are flattened).
+
+    ``check_finite=False`` leaves the finiteness check to a caller that checks
+    many vectors at once.
+    """
     arr = np.asarray(v, dtype=complex)
     if arr.ndim == 2 and 1 in arr.shape:
         arr = arr.reshape(-1)
     if arr.ndim != 1:
         raise ValueError(f"expected a vector, got shape {arr.shape}")
-    if not _all_finite(arr):
+    if check_finite and not _all_finite(arr):
         raise ValueError("vector has non-finite entries")
     return arr
 

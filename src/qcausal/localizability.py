@@ -192,54 +192,62 @@ def extract_unitaries(basis: OrthogonalBasis, tol: float = ATOL) -> MEBasisUnita
         raise ValueError("maximally entangled bases need equal local dimensions")
     d = na
     scale = max(1.0, d * d)
-    for idx, v in enumerate(basis.vectors):
-        s = np.linalg.svd(v.reshape(d, d), compute_uv=False)
-        if np.any(np.abs(s - 1 / np.sqrt(d)) > tol * scale):
-            raise ValueError(f"basis state {idx} is not maximally entangled")
+    rows = np.stack(basis.vectors)
+    s = np.linalg.svd(rows.reshape(-1, d, d), compute_uv=False)
+    entangled = np.all(np.abs(s - 1 / np.sqrt(d)) <= tol * scale, axis=1)
+    if not entangled.all():
+        raise ValueError(f"basis state {int(np.argmin(entangled))} is not maximally entangled")
     phi_un = max_entangled(d, normalized=False)
     anchor = int(np.argmax([abs(np.vdot(phi_un, v)) for v in basis.vectors]))
     w_a, _, vh = np.linalg.svd(basis.vectors[anchor].reshape(d, d))
-    unitaries = []
+    frame = kron_all(dag(w_a), vh.conj())
     order = [anchor] + [k for k in range(basis.size) if k != anchor]
-    for k in order:
-        aligned = kron_all(dag(w_a), vh.conj()) @ basis.vectors[k]
-        u = np.sqrt(d) * aligned.reshape(d, d)
-        if not is_unitary(u, 1e-8):
-            raise ValueError(f"extracted operator {k} is not unitary")
-        unitaries.append(u)
-    gram = np.array([[np.trace(dag(u1) @ u2) for u2 in unitaries] for u1 in unitaries])
-    if frobenius(gram - d * np.eye(d * d)) > 1e-7 * d * d:
+    stack = np.stack([np.sqrt(d) * (frame @ basis.vectors[k]).reshape(d, d) for k in order])
+    unitary = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d),
+                             axis=(1, 2)) < 1e-8 * d
+    if not unitary.all():
+        raise ValueError(f"extracted operator {order[int(np.argmin(unitary))]} is not unitary")
+    if frobenius(_gram(stack) - d * np.eye(d * d)) > 1e-7 * d * d:
         raise ValueError("extracted unitaries violate the trace-orthogonality condition")
-    return MEBasisUnitaries(tuple(unitaries))
+    return MEBasisUnitaries(tuple(stack))
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """The table tr(U_i^dag U_j) of a (n, d, d) stack of operators."""
+    return np.einsum("iab,jab->ij", stack.conj(), stack)
 
 
 def projective_group_test(us: MEBasisUnitaries,
                           tol: float = ATOL) -> ObstructionCertificate | None:
     """Check closure of the basis unitaries under multiplication up to phase.
 
-    Proportionality is decided by |tr(W^dag U V)| = d. Returns the first
-    pair (in index order) whose product matches no member; such a pair
+    Proportionality is decided by |tr(W^dag U V)| = d, taken for every W and
+    every ordered pair (U, V) as one (n, n * n) table. Returns the first pair
+    (in row-major index order) whose product matches no member; such a pair
     certifies that the basis measurement cannot be implemented without
     communication. Requires trace-orthogonality and an identity member.
     """
-    unitaries = us.unitaries
-    d = us.d
-    gram = np.array([[np.trace(dag(u1) @ u2) for u2 in unitaries] for u1 in unitaries])
-    if frobenius(gram - d * np.eye(len(unitaries))) > 1e-7 * d * len(unitaries):
+    stack = np.stack(us.unitaries)
+    n, d = len(stack), us.d
+    if frobenius(_gram(stack) - d * np.eye(n)) > 1e-7 * d * n:
         raise PreconditionError("unitaries violate the trace-orthogonality condition")
-    if not any(abs(np.trace(u)) > d - 1e-7 for u in unitaries):
+    if not np.any(np.abs(np.trace(stack, axis1=1, axis2=2)) > d - 1e-7):
         raise PreconditionError("no member is proportional to the identity")
-    for i, u in enumerate(unitaries):
-        for j, v in enumerate(unitaries):
-            product = u @ v
-            best = max(abs(np.trace(dag(w) @ product)) for w in unitaries)
-            if best < d - tol * d:
-                return ObstructionCertificate(
-                    PROJECTIVE_GROUP,
-                    {"pair": (i, j), "product": product},
-                    float(d - best),
-                )
-    return None
+    products = (stack[:, None] @ stack[None, :]).reshape(n * n, d * d)
+    best = np.abs(stack.reshape(n, d * d).conj() @ products.T).max(axis=0)
+    failing = np.flatnonzero(best < d - tol * d)
+    if failing.size == 0:
+        return None
+    i, j = divmod(int(failing[0]), n)
+    product = us.unitaries[i] @ us.unitaries[j]
+    # the reported residual repeats the per-pair traces, so it does not depend on
+    # how the table above was summed
+    best_ij = max(abs(np.trace(dag(w) @ product)) for w in us.unitaries)
+    return ObstructionCertificate(
+        PROJECTIVE_GROUP,
+        {"pair": (i, j), "product": product},
+        float(d - best_ij),
+    )
 
 
 def mismatch_basis() -> OrthogonalBasis:

@@ -26,6 +26,7 @@ from .linalg import (
     ATOL,
     SUPPORT_CUTOFF,
     BiDims,
+    _all_finite,
     as_vector,
     dag,
     frobenius,
@@ -56,7 +57,7 @@ class OrthogonalBasis:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vecs = [as_vector(v) for v in self.vectors]
+        vecs = [as_vector(v, check_finite=False) for v in self.vectors]
         n = self.dims.total
         if len(vecs) != n:
             raise ValueError(f"basis has {len(vecs)} vectors, expected {n}")
@@ -64,6 +65,8 @@ class OrthogonalBasis:
             if v.shape != (n,):
                 raise ValueError(f"basis vector length {v.shape[0]} != {n}")
         rows = np.stack(vecs)
+        if not _all_finite(rows):
+            raise ValueError("vector has non-finite entries")
         rows.flags.writeable = False
         dev = frobenius(rows.conj() @ rows.T - np.eye(n))
         if dev > ATOL * n:

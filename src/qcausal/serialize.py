@@ -21,29 +21,47 @@ class ParseError(ValueError):
 
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     arr = np.asarray(m, dtype=complex)
-    mat = as_matrix(arr.reshape(-1, 1) if arr.ndim == 1 else arr)
+    mat = np.ascontiguousarray(as_matrix(arr.reshape(-1, 1) if arr.ndim == 1 else arr))
     return {
         "rows": mat.shape[0],
         "cols": mat.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in mat.reshape(-1)],
+        "data": mat.view(float).reshape(-1, 2).tolist(),
     }
 
 
 def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
     try:
         rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
+    if not isinstance(data, list):
+        raise ParseError(f"matrix data must be a list, got {type(data).__name__}")
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise ParseError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
     try:
-        flat = np.array([complex(re, im) for re, im in data])
-    except (TypeError, ValueError) as exc:
+        pairs = _real_pairs(np.array(data))
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    mat = flat.reshape(rows, cols)
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+    if not np.isfinite(pairs).all():
         raise ParseError("matrix has non-finite entries")
-    return mat
+    return pairs.view(complex).reshape(rows, cols)
+
+
+def _real_pairs(arr: np.ndarray) -> np.ndarray:
+    """The decoded ``data`` array as an owned (n, 2) float array of [re, im] rows.
+
+    JSON numbers and booleans are accepted; strings, nulls and nested lists are not.
+    An integer beyond numpy's integer range makes the array an object array: it
+    is taken only if every entry is a Python number, and converts as ``float()``
+    does (one too large for a float raises ``OverflowError``).
+    """
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected shape (n, 2), got {arr.shape}")
+    numbers = arr.dtype.kind in "biuf" or (
+        arr.dtype.kind == "O" and all(isinstance(x, (int, float)) for x in arr.flat))
+    if not numbers:
+        raise ValueError(f"entries must be numbers, got {arr.dtype.name} values")
+    return arr.astype(float)
 
 
 def vector_from_json(doc: dict[str, Any]) -> np.ndarray:
@@ -67,8 +85,10 @@ def channel_from_json(doc: dict[str, Any]):
     try:
         dims = BiDims(int(doc["dimA"]), int(doc["dimB"]))
         kraus_docs = doc["kraus"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed channel object: {exc}") from exc
+    if not isinstance(kraus_docs, list):
+        raise ParseError(f"'kraus' must be a list, got {type(kraus_docs).__name__}")
     if not kraus_docs:
         raise ParseError("channel needs at least one Kraus operator")
     kraus = [matrix_from_json(k) for k in kraus_docs]
@@ -92,8 +112,10 @@ def basis_from_json(doc: dict[str, Any]):
     try:
         dims = BiDims(int(doc["dimA"]), int(doc["dimB"]))
         vec_docs = doc["vectors"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed basis object: {exc}") from exc
+    if not isinstance(vec_docs, list):
+        raise ParseError(f"'vectors' must be a list, got {type(vec_docs).__name__}")
     vectors = [vector_from_json(v) for v in vec_docs]
     try:
         return OrthogonalBasis(tuple(vectors), dims)

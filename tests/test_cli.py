@@ -102,6 +102,34 @@ def test_classify_non_finite_channel_exit_2(tmp_path, capsys):
     assert "matrix has non-finite entries" in capsys.readouterr().err
 
 
+def _identity_channel_doc(**overrides) -> dict:
+    data = [[1.0 if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+    doc = {"dimA": 2, "dimB": 2, "kraus": [{"rows": 4, "cols": 4, "data": data}]}
+    doc.update(overrides)
+    return doc
+
+
+def _with_matrix(**overrides) -> dict:
+    return _identity_channel_doc(kraus=[dict(_identity_channel_doc()["kraus"][0], **overrides)])
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_with_matrix(data=5)),
+    json.dumps(_with_matrix(data=None)),
+    json.dumps(_identity_channel_doc(kraus=5)),
+    # an integer written out in full that no float can hold
+    json.dumps(_identity_channel_doc()).replace("1.0", str(10**400), 1),
+    json.dumps(_with_matrix(rows="x")),
+    json.dumps(_identity_channel_doc(dimA="a")),
+], ids=["data-int", "data-null", "kraus-int", "entry-overflow", "rows-string", "dimA-string"])
+def test_classify_malformed_document_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_classify_invariant_failure(tmp_path, capsys):
     # a subnormalized channel is rejected with exit code 3
     doc = {

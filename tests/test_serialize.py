@@ -87,3 +87,74 @@ def test_load_document_errors(tmp_path):
     empty.write_text("{}")
     with pytest.raises(ParseError):
         load_document(str(empty))
+
+
+def _reference_decode(doc):
+    """The per-entry decoder the one-call decoder replaced: one complex() per entry."""
+    flat = np.array([complex(re, im) for re, im in doc["data"]])
+    return flat.reshape(int(doc["rows"]), int(doc["cols"]))
+
+
+def _reference_encode(m):
+    """The per-entry encoder the one-call encoder replaced: two float() per entry."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
+
+
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                   1, -7, 0, True, False, 2**53 + 1, 2**63 + 1, -(2**63) - 1, 10**20 + 3]
+
+
+def _random_entries(rng, count):
+    """Gaussians mixed with the entries a per-entry codec could read differently."""
+    entries = [float(x) for x in rng.standard_normal(count)]
+    specials = [SPECIAL_ENTRIES[k] for k in rng.permutation(2 * len(SPECIAL_ENTRIES))
+                % len(SPECIAL_ENTRIES)]
+    for k, value in zip(rng.choice(count, size=min(count, len(specials)), replace=False),
+                        specials):
+        entries[k] = value
+    return entries
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_matrix_codec_matches_per_entry_reference(rng):
+    shapes = [(1, 1), (1, 64), (64, 1), (64, 64)] + [tuple(rng.integers(1, 65, size=2))
+                                                     for _ in range(12)]
+    for rows, cols in shapes:
+        entries = _random_entries(rng, 2 * rows * cols)
+        doc = {"rows": int(rows), "cols": int(cols),
+               "data": [entries[k:k + 2] for k in range(0, len(entries), 2)]}
+        decoded = matrix_from_json(doc)
+        assert _same_bits(decoded, _reference_decode(doc))
+        # json.dumps tells -0.0 from 0.0, which list equality does not
+        for m in (decoded, decoded.T, decoded[:, ::-1], decoded.reshape(-1)):
+            data = matrix_to_json(m)["data"]
+            assert json.dumps(data) == json.dumps(_reference_encode(m))
+            assert all(type(x) is float for pair in data for x in pair)
+
+
+@pytest.mark.parametrize("data", [
+    [["1.0", 0]],
+    [[0, "1.0"]],
+    [[1, None]],
+    [[1, 2, 3]],
+    [[1]],
+    [[[1, 2], 3]],
+    [[1, [2]]],
+    ["ab"],
+    [{"re": 1, "im": 0}],
+    [[10**20, "1.0"]],
+    [[10**400, 0]],
+])
+def test_matrix_rejects_entries_that_are_not_number_pairs(data):
+    with pytest.raises(ParseError):
+        matrix_from_json({"rows": 1, "cols": 1, "data": data})
+
+
+def test_matrix_rejects_non_finite_entries():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for pair in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(ParseError, match="non-finite"):
+                matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], pair]})
