@@ -64,11 +64,6 @@ class ChoiState:
     matrix: np.ndarray
     dims: BiDims
 
-    @property
-    def factor_dims(self) -> tuple[int, int, int, int]:
-        na, nb = self.dims
-        return (na, na, nb, nb)
-
 
 def validate(ch: KrausChannel, tol: float = ATOL) -> TPReport:
     """Check the trace-preservation condition ``sum_k M_k^dag M_k == I``."""

@@ -22,6 +22,7 @@ from .channels import KrausChannel, apply_to_vector, measurement_channel
 from .linalg import (
     ATOL,
     BiDims,
+    alignment_unitary,
     as_matrix,
     as_vector,
     dag,
@@ -34,13 +35,7 @@ from .linalg import (
     proj,
     tensor_product,
 )
-from .measurements import (
-    OrthogonalBasis,
-    _frame_map_unitary,
-    _split_schmidt,
-    bell_states,
-    causal_structure,
-)
+from .measurements import OrthogonalBasis, bell_states, causal_structure
 
 EIGENSTATE_CLOSURE = "EigenstateClosure"
 PROJECTIVE_GROUP = "ProjectiveGroup"
@@ -304,13 +299,11 @@ def closure_obstruction_search(basis: OrthogonalBasis,
 def _cell_shift(basis: OrthogonalBasis, src_idx: int, dst_idx: int, side: str) -> np.ndarray:
     """A local unitary mapping basis state src to dst, acting on ``side`` only.
 
-    Both states must share the other side's cell; the map sends the source's
-    local Schmidt frame to the frame the destination pairs with the source's
-    other-side frame, and is completed arbitrarily elsewhere.
+    Both states share the other side's cell, so they have the same reduced
+    state there and a local unitary on ``side`` maps one onto the other; the
+    alignment unitary on ``side``'s index is that map on the source's support.
     """
-    coeffs, own, other = _split_schmidt(basis, src_idx, side)
-    dst = basis.vectors[dst_idx].reshape(basis.dims)
+    src, dst = (basis.vectors[k].reshape(basis.dims) for k in (src_idx, dst_idx))
     if side == "B":
-        dst = dst.T
-    targets = [dst @ v.conj() / c for c, v in zip(coeffs, other)]
-    return _frame_map_unitary(own, targets, dst.shape[0])
+        src, dst = src.T, dst.T
+    return alignment_unitary(src, dst)

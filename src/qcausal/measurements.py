@@ -27,13 +27,13 @@ from .linalg import (
     SUPPORT_CUTOFF,
     BiDims,
     _all_finite,
+    alignment_unitary,
     as_vector,
     dag,
     frobenius,
     haar_unitary,
     mat_close,
     proj,
-    schmidt_vectors,
     tensor_product,
     trace_distance,
 )
@@ -47,8 +47,8 @@ class OrthogonalBasis:
 
     The vectors are copied once into a read-only (n, n) array whose row k is
     vector k; ``vectors`` holds views of its rows. Tables derived from them
-    (reduced states, pair norms, Schmidt data) are computed on first use and
-    kept with the instance.
+    (reduced states, pair norms, Schmidt coefficients) are computed on first
+    use and kept with the instance.
     """
 
     vectors: tuple[np.ndarray, ...]
@@ -78,10 +78,6 @@ class OrthogonalBasis:
     @property
     def size(self) -> int:
         return len(self.vectors)
-
-    def matrix(self) -> np.ndarray:
-        """Unitary whose columns are the basis vectors."""
-        return np.stack(self.vectors, axis=1)
 
 
 @dataclass(frozen=True)
@@ -294,68 +290,6 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     return CausalGrid(d, r_a, r_b, tuple(tuple(tuple(m) for m in row) for row in cells))
 
 
-def _witness_unitary(basis: OrthogonalBasis, b_idx: int, a_idx: int, side: str) -> np.ndarray:
-    """Unitary for the sender that steers |b> toward |a>.
-
-    It maps the sender-side Schmidt frame of |b> onto that of |a|, pairing the
-    frames so the strongest receiver-side overlap comes first and fixing phases
-    so all matched overlaps add constructively.
-    """
-    dims = basis.dims
-    _, a_recv, a_send = _split_schmidt(basis, a_idx, side)
-    _, b_recv, b_send = _split_schmidt(basis, b_idx, side)
-    overlaps = np.array([[np.vdot(ar, br) for br in b_recv] for ar in a_recv])
-    order = np.dstack(np.unravel_index(np.argsort(-np.abs(overlaps), axis=None), overlaps.shape))[0]
-    pairs: list[tuple[int, int]] = []
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    for i, j in order:
-        if i in used_a or j in used_b:
-            continue
-        pairs.append((int(i), int(j)))
-        used_a.add(int(i))
-        used_b.add(int(j))
-    n_send = dims.dim_b if side == "A" else dims.dim_a
-    sources = []
-    targets = []
-    for i, j in pairs:
-        phase = 1.0 + 0j
-        if abs(overlaps[i, j]) > 1e-12:
-            phase = overlaps[i, j] / abs(overlaps[i, j])
-        sources.append(b_send[j])
-        targets.append(a_send[i] * np.conj(phase))
-    return _frame_map_unitary(sources, targets, n_send)
-
-
-def _split_schmidt(basis: OrthogonalBasis, idx: int, side: str):
-    """Schmidt data of basis vector ``idx`` ordered as (coeffs, receiver-side
-    frame, sender-side frame); each vector is decomposed once per basis."""
-    done = basis._cache.setdefault("schmidt_vectors", {})
-    idx = int(idx)
-    if idx not in done:
-        done[idx] = schmidt_vectors(basis.vectors[idx], basis.dims)
-    coeffs, a_vecs, b_vecs = done[idx]
-    if side == "A":
-        return coeffs, a_vecs, b_vecs
-    return coeffs, b_vecs, a_vecs
-
-
-def _frame_map_unitary(sources: list[np.ndarray], targets: list[np.ndarray], n: int) -> np.ndarray:
-    """A unitary sending each source frame vector to its target, completed arbitrarily."""
-    src = _complete_frame(sources, n)
-    tgt = _complete_frame(targets, n)
-    return tgt @ dag(src)
-
-
-def _complete_frame(vecs: list[np.ndarray], n: int) -> np.ndarray:
-    if not vecs:
-        return np.eye(n, dtype=complex)
-    frame = np.stack(vecs, axis=1)
-    q, _ = np.linalg.qr(np.concatenate([frame, np.eye(n, dtype=complex)], axis=1))
-    out = np.concatenate([frame, q[:, frame.shape[1]:n]], axis=1) if frame.shape[1] < n else frame
-    return out
-
-
 def basis_signaling_witness(basis: OrthogonalBasis, side: str,
                             tol: float = ATOL) -> BasisWitness | None:
     """Constructive signaling witness for a basis failing the pairwise test on ``side``.
@@ -363,11 +297,12 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
     Among the reduced states whose overlap class holds two or more distinct
     operators, the one of maximal Hilbert-Schmidt norm is extremal in its
     class, so steering it toward an overlapping, distinct partner must move
-    the receiver's output. The sender unitary aligns the two states' Schmidt
-    frames; the reported separation is the trace distance between the
-    receiver's reduced outputs with and without it. Returns None when no
-    such pair separates the outputs by more than WITNESS_THRESHOLD, as for
-    a basis within a hair of a causal one.
+    the receiver's output. The sender unitary steers |b> as close to |a> as a
+    local move can (:func:`alignment_unitary` on the sender's index); the
+    reported separation is the trace distance between the receiver's reduced
+    outputs with and without it. Returns None when no such pair separates the
+    outputs by more than WITNESS_THRESHOLD, as for a basis within a hair of a
+    causal one.
     """
     verdict = semicausal_basis_test(basis, side, tol)
     if verdict.semicausal:
@@ -377,22 +312,26 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
     steerable = (t.prod > bar) & ~(t.diff < bar)  # overlapping and distinct
     candidates = [int(b) for b in np.nonzero(steerable.any(axis=1))[0]]
     candidates.sort(key=lambda b: (-frobenius(t.sigmas[b]), b))
+    # every basis state as a matrix whose row index is the sender's
+    states = basis._rows.reshape(-1, *basis.dims)
+    if side == "A":
+        states = np.ascontiguousarray(states.transpose(0, 2, 1))
+    bras = states.reshape(basis.size, -1).conj()
     for b_idx in candidates:
-        vec = basis.vectors[b_idx].reshape(basis.dims)
-        plain = _receiver_output(basis, t.sigmas, vec)
+        plain = _receiver_output(bras, t.sigmas, states[b_idx])
         for a_idx in np.nonzero(steerable[b_idx])[0]:
-            u = _witness_unitary(basis, b_idx, a_idx, side)
-            steered = vec @ u.T if side == "A" else u @ vec
-            sep = trace_distance(plain, _receiver_output(basis, t.sigmas, steered))
+            u = alignment_unitary(states[b_idx], states[a_idx])
+            sep = trace_distance(plain, _receiver_output(bras, t.sigmas, u @ states[b_idx]))
             if sep > WITNESS_THRESHOLD:
                 return BasisWitness(side, b_idx, u, sep)
     return None
 
 
-def _receiver_output(basis: OrthogonalBasis, sigmas: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _receiver_output(bras: np.ndarray, sigmas: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The receiver's reduced output when the measurement acts on the pure input
-    ``w``: sum_c |<c|w>|^2 sigma_c, read off the reduced-state table."""
-    weights = np.abs(basis._rows.conj() @ w.reshape(-1)) ** 2
+    ``w``: sum_c |<c|w>|^2 sigma_c, read off the reduced-state table. ``bras``
+    holds the conjugated basis states flattened in the same layout as ``w``."""
+    weights = np.abs(bras @ w.reshape(-1)) ** 2
     return np.tensordot(weights, sigmas, axes=1)
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    alignment_unitary,
     as_matrix,
     basis_vector,
     dag,
@@ -28,13 +29,7 @@ from .linalg import (
     kron_all,
     tensor_product,
 )
-from .measurements import (
-    OrthogonalBasis,
-    PartitionStructure,
-    _frame_map_unitary,
-    bell_states,
-    semicausal_structure,
-)
+from .measurements import OrthogonalBasis, PartitionStructure, bell_states, semicausal_structure
 
 
 def branch_weights(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -54,32 +49,23 @@ def sample_branch(ch: KrausChannel, rho: np.ndarray, rng: np.random.Generator) -
 # One-way measurement protocol for bases passing the pairwise criterion
 # ---------------------------------------------------------------------------
 
-def _subspace_frame(structure: PartitionStructure, alpha: int) -> np.ndarray:
-    """The eigenbasis of subspace ``alpha``, one column per vector."""
-    eigvals, eigvecs = np.linalg.eigh(structure.subspaces[alpha].projector)
-    return eigvecs[:, eigvals > 0.5]
-
-
-def _replacement_rotation(basis: OrthogonalBasis, structure: PartitionStructure,
-                          alpha: int, a: int) -> np.ndarray:
-    """B-side unitary turning the stock entangled pair into basis state ``a``.
-
-    The stock pair entangles the subspace eigenbasis with the first B levels;
-    the rotation maps those levels onto the state's relative B frames.
-    """
-    na, nb = basis.dims
-    frame = _subspace_frame(structure, alpha)
-    d = frame.shape[1]
-    targets = np.sqrt(d) * basis.vectors[a].reshape(na, nb).T @ frame.conj()
-    return _frame_map_unitary([basis_vector(nb, i) for i in range(d)], list(targets.T), nb)
-
-
 def _stock_pair(basis: OrthogonalBasis, structure: PartitionStructure, alpha: int) -> np.ndarray:
-    """The pair ``sum_i |f_i>|i> / sqrt(d)`` over the subspace frame, as an (A', P) matrix."""
-    frame = _subspace_frame(structure, alpha)
+    """The pair ``sum_i |f_i>|i> / sqrt(d)`` over the eigenbasis ``f`` of subspace
+    ``alpha``, as an (A', P) matrix."""
+    eigvals, eigvecs = np.linalg.eigh(structure.subspaces[alpha].projector)
+    frame = eigvecs[:, eigvals > 0.5]
     pair = np.zeros(basis.dims, dtype=complex)
     pair[:, :frame.shape[1]] = frame / np.sqrt(frame.shape[1])
     return pair
+
+
+def _replacement_rotation(pair: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """B-side unitary turning the stock pair into a basis state, both as (A, B) matrices.
+
+    The two have the same reduced state on A, so a unitary on the pair's
+    second factor maps one onto the other: the alignment unitary on that index.
+    """
+    return alignment_unitary(pair.T, state.T)
 
 
 def semilocal_channel(basis: OrthogonalBasis) -> KrausChannel:
@@ -100,9 +86,9 @@ def semilocal_channel(basis: OrthogonalBasis) -> KrausChannel:
     outcomes = range(basis.size)
     phi = np.stack([pairs[alpha_of[a]] for a in outcomes])  # (k, A', P)
     p = np.stack([structure.subspaces[alpha_of[a]].projector for a in outcomes])  # (k, R, A)
-    v = np.stack([_replacement_rotation(basis, structure, alpha_of[a], a)
-                  for a in outcomes])  # (k, B', P)
-    bra = np.stack(basis.vectors).conj().reshape(-1, na, nb)  # (k, R, B)
+    states = np.stack(basis.vectors).reshape(-1, na, nb)
+    v = np.stack([_replacement_rotation(phi[a], states[a]) for a in outcomes])  # (k, B', P)
+    bra = states.conj()  # (k, R, B)
     k = np.einsum("kxp,kra,kyp,krb->kxyab", phi, p, v, bra, optimize=True)
     return KrausChannel(tuple(k.reshape(basis.size, na * nb, na * nb)), basis.dims)
 

@@ -19,6 +19,17 @@ class ParseError(ValueError):
     """Raised when a JSON document does not match the expected shape."""
 
 
+def _integer(doc: dict[str, Any], key: str) -> int:
+    """``doc[key]`` as an int: an integral JSON number, so 2 or 2.0 but not 2.7,
+    a boolean or a string. Infinity and NaN fail in ``int()``."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"'{key}' must be an integer, got {type(value).__name__}")
+    if value != int(value):
+        raise ValueError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     arr = np.asarray(m, dtype=complex)
     mat = np.ascontiguousarray(as_matrix(arr.reshape(-1, 1) if arr.ndim == 1 else arr))
@@ -31,7 +42,7 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
 
 def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
+        rows, cols, data = _integer(doc, "rows"), _integer(doc, "cols"), doc["data"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if not isinstance(data, list):
@@ -83,7 +94,7 @@ def channel_from_json(doc: dict[str, Any]):
     from .channels import KrausChannel
 
     try:
-        dims = BiDims(int(doc["dimA"]), int(doc["dimB"]))
+        dims = BiDims(_integer(doc, "dimA"), _integer(doc, "dimB"))
         kraus_docs = doc["kraus"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed channel object: {exc}") from exc
@@ -110,7 +121,7 @@ def basis_from_json(doc: dict[str, Any]):
     from .measurements import OrthogonalBasis
 
     try:
-        dims = BiDims(int(doc["dimA"]), int(doc["dimB"]))
+        dims = BiDims(_integer(doc, "dimA"), _integer(doc, "dimB"))
         vec_docs = doc["vectors"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed basis object: {exc}") from exc
@@ -131,7 +142,7 @@ def load_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")

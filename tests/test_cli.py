@@ -130,6 +130,41 @@ def test_classify_malformed_document_exit_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_classify_non_utf8_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"dimA": 2}).encode("utf-16-le"))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "utf-8" in err
+
+
+def _bell_basis_doc(field: str, value) -> dict:
+    with open(_fixture_path("bell_basis.json")) as fh:
+        doc = json.load(fh)
+    (doc["vectors"][0] if field in ("rows", "cols") else doc)[field] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dimA", 2.7), ("dimA", True), ("dimB", "2"), ("dimB", False),
+    ("rows", 4.5), ("cols", True), ("cols", "1"),
+])
+def test_classify_non_integer_size_exit_2(tmp_path, capsys, field, value):
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(_bell_basis_doc(field, value)))
+    assert main(["classify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{field}' must be an integer" in err
+
+
+@pytest.mark.parametrize("field", ["dimA", "rows"])
+def test_classify_reads_integral_float_sizes(tmp_path, capsys, field):
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(_bell_basis_doc(field, 2.0 if field == "dimA" else 4.0)))
+    doc = _classify_json(str(path), capsys)
+    assert doc["input"] == {"kind": "basis", "dimA": 2, "dimB": 2} and doc["causal"]
+
+
 def test_classify_invariant_failure(tmp_path, capsys):
     # a subnormalized channel is rejected with exit code 3
     doc = {

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.linalg import (
     PAULI_X,
     PAULI_Z,
     HADAMARD,
     BiDims,
+    alignment_unitary,
     haar_unitary,
     hermitian_spectrum,
     max_entangled,
@@ -13,8 +16,6 @@ from qcausal.linalg import (
     partial_trace,
     proj,
     random_density_matrix,
-    random_pure_state,
-    schmidt_vectors,
     tensor_product,
     trace_distance,
 )
@@ -169,10 +170,30 @@ def test_trace_distance_known_values():
     assert trace_distance(HADAMARD @ proj([1, 0]) @ HADAMARD, proj([1, 1] / np.sqrt(2))) < 1e-12
 
 
-def test_schmidt_vectors_reconstruct_complex_state(rng):
-    dims = BiDims(3, 4)
-    v = random_pure_state(dims.total, rng)
-    coeffs, a_vecs, b_vecs = schmidt_vectors(v, dims)
-    rebuilt = sum(c * np.kron(a, b) for c, a, b in zip(coeffs, a_vecs, b_vecs))
-    assert np.linalg.norm(rebuilt - v) < 1e-12
-    assert np.allclose(np.array(b_vecs).conj() @ np.array(b_vecs).T, np.eye(len(coeffs)))
+@st.composite
+def _aligned_pair(draw):
+    """(src, U0 @ src, U0, rank): src is n x m of the drawn rank, U0 Haar-random."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(n, m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    singular = rng.uniform(0.1, 1.0, rank)
+    src = (haar_unitary(n, rng)[:, :rank] * singular) @ haar_unitary(m, rng)[:rank, :]
+    u0 = haar_unitary(n, rng)
+    return src, u0 @ src, u0, rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(_aligned_pair(), st.integers(0, 2**32 - 1))
+def test_alignment_unitary_recovers_the_move_on_the_range(case, seed):
+    src, dst, u0, rank = case
+    u = alignment_unitary(src, dst)
+    n = src.shape[0]
+    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-12
+    assert np.linalg.norm(u @ src - u0 @ src) < 1e-12
+    # it attains the nuclear norm of src dst^dag, the largest Re tr(dst^dag U src)
+    nuclear = np.linalg.svd(src @ dst.conj().T, compute_uv=False).sum()
+    assert abs(np.trace(dst.conj().T @ u @ src).real - nuclear) < 1e-12
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        r = haar_unitary(n, rng)
+        assert np.trace(dst.conj().T @ r @ src).real <= nuclear + 1e-12

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from qcausal.channels import apply_to_vector, measurement_channel
 from qcausal.linalg import (
+    alignment_unitary,
     frobenius,
     haar_unitary,
     mat_close,
@@ -27,7 +28,6 @@ from qcausal.linalg import (
 from qcausal.measurements import (
     WITNESS_THRESHOLD,
     _support_projector,
-    _witness_unitary,
     basis_signaling_witness,
     causal_structure,
     rotate_basis,
@@ -124,9 +124,13 @@ def reference_witness(basis, side, tol):
         for a_idx in range(n):
             if not (overlap[b_idx][a_idx] and distinct[b_idx][a_idx]):
                 continue
-            u = _witness_unitary(basis, b_idx, a_idx, side)
-            full = (tensor_product(np.eye(na), u) if side == "A"
-                    else tensor_product(u, np.eye(nb)))
+            src, dst = (basis.vectors[k].reshape(na, nb) for k in (b_idx, a_idx))
+            if side == "A":
+                u = alignment_unitary(src.T, dst.T)
+                full = tensor_product(np.eye(na), u)
+            else:
+                u = alignment_unitary(src, dst)
+                full = tensor_product(u, np.eye(nb))
             vec = basis.vectors[b_idx]
             sep = trace_distance(partial_trace(apply_to_vector(ch, vec), basis.dims, other),
                                  partial_trace(apply_to_vector(ch, full @ vec), basis.dims, other))
