@@ -6,9 +6,7 @@ dimensions <= 8).
 from .causality import (
     A_TO_B,
     B_TO_A,
-    CausalityVerdict,
     SignalWitness,
-    causal_test,
     semicausal_test,
     signaling_search,
     unitary_product_test,
@@ -20,7 +18,6 @@ from .channels import (
     channel_distance,
     choi,
     choi_distance,
-    choi_of_map,
     compose,
     convex_mixture,
     identity_channel,
@@ -43,7 +40,6 @@ from .games import (
 from .linalg import (
     ATOL,
     BiDims,
-    hermitian_spectrum,
     max_entangled,
     operator_schmidt,
     partial_trace,
@@ -96,7 +92,6 @@ from .twirl import (
     stabilizer_channel,
     tetrahedral_group,
     twirl_channel,
-    twirl_structure_check,
     werner_twirl,
 )
 

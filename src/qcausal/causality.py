@@ -53,17 +53,6 @@ class SignalWitness:
     separation: float
 
 
-@dataclass(frozen=True)
-class CausalityVerdict:
-    b_to_a_blocked: bool
-    a_to_b_blocked: bool
-    witness: SignalWitness | None = None
-
-    @property
-    def causal(self) -> bool:
-        return self.b_to_a_blocked and self.a_to_b_blocked
-
-
 def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
     """The Choi state traced over the sender's output, as a 6-index tensor.
 
@@ -97,18 +86,6 @@ def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool
     reduced = np.einsum("rsoRsO->roRO", t)
     expected = np.einsum("roRO,sS->rsoRSO", reduced, np.eye(d_send) / d_send)
     return frobenius(t - expected) < tol * math.prod(t.shape[:3])
-
-
-def causal_test(ch: KrausChannel) -> CausalityVerdict:
-    """Run the exact test in both directions; attach a scanned witness on failure."""
-    b_to_a = semicausal_test(ch, B_TO_A)
-    a_to_b = semicausal_test(ch, A_TO_B)
-    witness = None
-    if not b_to_a:
-        witness = signaling_search(ch, B_TO_A)
-    if witness is None and not a_to_b:
-        witness = signaling_search(ch, A_TO_B)
-    return CausalityVerdict(b_to_a, a_to_b, witness)
 
 
 def _receiver_output(kraus_stack: np.ndarray, dims: BiDims, direction: str,

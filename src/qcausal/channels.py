@@ -7,11 +7,11 @@ Choi states, never on Kraus lists (Kraus representations are not unique).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import ATOL, BiDims, _all_finite, as_matrix, dag, frobenius, mat_close
+from .linalg import ATOL, BiDims, _all_finite, as_matrix, dag, frobenius
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,7 @@ class KrausChannel:
             raise ValueError("channel needs at least one Kraus operator")
         mats = [np.asarray(k, dtype=complex) for k in self.kraus]
         n = self.dims.total
+        self.dims.check(n)  # rejects non-positive local dimensions
         for k in mats:
             if k.shape != (n, n):
                 raise ValueError(f"Kraus operator shape {k.shape} != ({n}, {n})")
@@ -128,26 +129,6 @@ def choi(ch: KrausChannel) -> ChoiState:
     return ChoiState(v.T @ v.conj(), ch.dims)
 
 
-def choi_of_map(f: Callable[[np.ndarray], np.ndarray], dims: BiDims) -> ChoiState:
-    """Choi state of an arbitrary linear map, assembled from matrix units.
-
-    Independent of :func:`choi`; used to cross-check channel constructions.
-    """
-    na, nb = dims
-    n = dims.total
-    out = np.zeros((na * n * nb, na * n * nb), dtype=complex)
-    t = out.reshape(na, n, nb, na, n, nb)
-    unit = np.zeros((n, n), dtype=complex)
-    for i in range(na):
-        for k in range(na):
-            for j in range(nb):
-                for ell in range(nb):
-                    unit[:] = 0
-                    unit[i * nb + j, k * nb + ell] = 1.0
-                    t[i, :, j, k, :, ell] += f(unit)
-    return ChoiState(out, dims)
-
-
 def choi_distance(c1: ChoiState, c2: ChoiState) -> float:
     if c1.dims != c2.dims:
         raise ValueError("choi states have different dims")
@@ -178,10 +159,3 @@ def measurement_channel(basis) -> KrausChannel:
     kraus = tuple(np.outer(v, v.conj()) for v in basis.vectors)
     return KrausChannel(kraus, basis.dims)
 
-
-def choi_is_psd(c: ChoiState, tol: float = ATOL) -> bool:
-    """Complete-positivity certificate: the Choi state has no negative eigenvalues."""
-    mat = c.matrix
-    if not mat_close(mat, dag(mat), tol * mat.shape[0]):
-        return False
-    return bool(np.linalg.eigvalsh((mat + dag(mat)) / 2).min() > -tol * mat.shape[0])

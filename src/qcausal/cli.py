@@ -10,6 +10,7 @@ import argparse
 import collections
 import functools
 import json
+import math
 import sys
 from importlib import resources
 
@@ -25,7 +26,7 @@ from .games import (
     ip_demo,
     optimal_quantum_strategy,
 )
-from .linalg import HADAMARD, PAULI_X, basis_vector, proj
+from .linalg import ATOL, HADAMARD, PAULI_X, PAULIS, basis_vector, proj
 from .localizability import mismatch_basis, twisted_partition_basis
 from .measurements import (
     OrthogonalBasis,
@@ -37,7 +38,6 @@ from .measurements import (
 )
 from .protocols import (
     BELL_LABELS,
-    PAULI_LABELS,
     branch_weights,
     entanglement_swap_channel,
     sample_branch,
@@ -116,7 +116,11 @@ def _demo_ip(args: argparse.Namespace) -> int:
     if len(args.x) != len(args.y):
         print("error: x and y must have equal length", file=sys.stderr)
         return 2
-    print(ip_demo(args.x, args.y, seed=args.seed))
+    try:
+        print(ip_demo(args.x, args.y, seed=args.seed))
+    except ValueError as exc:  # a character other than 0 or 1, or an empty string
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -173,7 +177,7 @@ def _demo_twisted(args: argparse.Namespace) -> int:
     print(f"twist: {args.u}")
     print(f"protocol channel == twisted basis channel: {dist < 1e-9} "
           f"(Choi distance {dist:.2e})")
-    print(f"sampled run: row {row}, column {column}, Pauli {PAULI_LABELS[pauli]}")
+    print(f"sampled run: row {row}, column {column}, Pauli {list(PAULIS)[pauli]}")
     print(f"one-way: {semicausal_test(protocol, B_TO_A)}")
     return 0
 
@@ -235,6 +239,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcausal",
                                      description="Classify bipartite quantum operations.")
@@ -243,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="classify a channel or basis JSON file")
     p_classify.add_argument("path", help="input file (bundled fixture names also work)")
     p_classify.add_argument("--json", action="store_true", help="machine-readable output")
-    p_classify.add_argument("--tol", type=float, default=1e-9,
-                            help="matrix comparison tolerance")
+    p_classify.add_argument("--tol", type=_tolerance, default=ATOL,
+                            help="matrix comparison tolerance, a positive finite number")
     p_classify.set_defaults(func=_cmd_classify)
 
     p_demo = sub.add_parser("demo", help="run a bundled demonstration")

@@ -133,13 +133,9 @@ def joint_outcome_distribution(s: QuantumStrategy, x: int, y: int) -> np.ndarray
 
 
 def chsh_success_quantum(s: QuantumStrategy) -> float:
-    """Average success probability of the quantum strategy over the four inputs."""
-    p = 0.0
-    for x, y in product((0, 1), repeat=2):
-        dist = joint_outcome_distribution(s, x, y)
-        target = x & y
-        p += sum(dist[a, b] for a in range(2) for b in range(2) if (a ^ b) == target)
-    return p / 4
+    """Average success probability of the quantum strategy over the four inputs:
+    the game value of its compiled protocol channel."""
+    return channel_game_value(entangled_local_protocol(s))
 
 
 def optimal_quantum_strategy() -> QuantumStrategy:
@@ -216,23 +212,6 @@ def ip_demo(x: str, y: str, seed: int = 0) -> int:
     return a_total ^ b_total
 
 
-def ip_demo_all_branches(x: str, y: str) -> set[int]:
-    """Every reachable final bit over all AND-box branch combinations."""
-    xs, ys = _parse_bits(x), _parse_bits(y)
-    if len(xs) != len(ys):
-        raise ValueError("bitstrings must have equal length")
-    n = len(xs)
-    results = set()
-    for branches in product((0, 1), repeat=n):
-        a_total = 0
-        b_total = 0
-        for (xi, yi), a in zip(zip(xs, ys), branches):
-            a_total ^= a
-            b_total ^= a ^ (xi & yi)
-        results.add(a_total ^ b_total)
-    return results
-
-
 def _parse_bits(bits: str) -> list[int]:
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"expected a nonempty bitstring, got {bits!r}")
@@ -248,8 +227,6 @@ def entangled_local_protocol(s: QuantumStrategy) -> KrausChannel:
     resulting channel is localizable by construction and its game value equals
     the strategy's success probability.
     """
-    if s.shared_state.shape[0] != 4:
-        raise ValueError("protocol compilation expects a two-qubit shared state")
     kraus = []
     for x, y in product((0, 1), repeat=2):
         dist = joint_outcome_distribution(s, x, y)

@@ -23,6 +23,7 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+PAULIS = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 class BiDims(NamedTuple):
@@ -99,12 +100,8 @@ def normalize(v) -> np.ndarray:
     return vec / norm
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the left (slow) factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(*factors: np.ndarray) -> np.ndarray:
+def tensor_product(*factors: np.ndarray) -> np.ndarray:
+    """Kronecker product of the factors, the first the left (slowest) one."""
     out = np.asarray(factors[0], dtype=complex)
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
@@ -176,25 +173,6 @@ def fix_phase(v: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, complex]:
         return v, 1.0 + 0j
     phase = flat[idx[0]] / abs(flat[idx[0]])
     return v / phase, phase
-
-
-def hermitian_spectrum(m: np.ndarray, tol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and phase-fixed eigenvector matrix of a Hermitian operator.
-
-    Raises if the input deviates from Hermiticity by more than ``tol`` in
-    Frobenius norm (scaled by the matrix norm).
-    """
-    mat = as_matrix(m)
-    scale = max(1.0, frobenius(mat))
-    if frobenius(mat - dag(mat)) > tol * scale:
-        raise ValueError("input is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((mat + dag(mat)) / 2)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    for k in range(v.shape[1]):
-        v[:, k], _ = fix_phase(v[:, k])
-    return w, v
 
 
 def operator_schmidt(

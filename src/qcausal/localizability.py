@@ -28,7 +28,6 @@ from .linalg import (
     dag,
     frobenius,
     is_unitary,
-    kron_all,
     max_entangled,
     min_singular_value,
     normalize,
@@ -54,8 +53,9 @@ class ObstructionCertificate:
 
 @dataclass(frozen=True)
 class MEBasisUnitaries:
-    """Unitaries defining a maximally entangled basis, anchor-aligned so the
-    first element is the identity; they satisfy tr(U_a^dag U_b) = d delta_ab."""
+    """Unitaries defining a maximally entangled basis, one per basis state in
+    basis order, anchor-aligned so the anchor's element is the identity; they
+    satisfy tr(U_a^dag U_b) = d delta_ab."""
 
     unitaries: tuple[np.ndarray, ...]
 
@@ -180,7 +180,8 @@ def extract_unitaries(basis: OrthogonalBasis, tol: float = ATOL) -> MEBasisUnita
     The element with the largest overlap with the unnormalized reference pair
     state is the anchor; both local bases are re-aligned to its Schmidt frames
     so the anchor becomes the reference state and its unitary the identity.
-    Each remaining unitary is sqrt(d) times the reshaped, re-aligned vector.
+    Each unitary is sqrt(d) times the reshaped, re-aligned vector, kept at its
+    basis state's index.
     """
     na, nb = basis.dims
     if na != nb:
@@ -195,13 +196,12 @@ def extract_unitaries(basis: OrthogonalBasis, tol: float = ATOL) -> MEBasisUnita
     phi_un = max_entangled(d, normalized=False)
     anchor = int(np.argmax([abs(np.vdot(phi_un, v)) for v in basis.vectors]))
     w_a, _, vh = np.linalg.svd(basis.vectors[anchor].reshape(d, d))
-    frame = kron_all(dag(w_a), vh.conj())
-    order = [anchor] + [k for k in range(basis.size) if k != anchor]
-    stack = np.stack([np.sqrt(d) * (frame @ basis.vectors[k]).reshape(d, d) for k in order])
+    frame = tensor_product(dag(w_a), vh.conj())
+    stack = np.stack([np.sqrt(d) * (frame @ v).reshape(d, d) for v in basis.vectors])
     unitary = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d),
                              axis=(1, 2)) < 1e-8 * d
     if not unitary.all():
-        raise ValueError(f"extracted operator {order[int(np.argmin(unitary))]} is not unitary")
+        raise ValueError(f"extracted operator {int(np.argmin(unitary))} is not unitary")
     if frobenius(_gram(stack) - d * np.eye(d * d)) > 1e-7 * d * d:
         raise ValueError("extracted unitaries violate the trace-orthogonality condition")
     return MEBasisUnitaries(tuple(stack))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .causality import SEARCH_THRESHOLD
 from .channels import KrausChannel
 from .linalg import (
     ATOL,
@@ -37,8 +38,6 @@ from .linalg import (
     tensor_product,
     trace_distance,
 )
-
-WITNESS_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -59,6 +58,7 @@ class OrthogonalBasis:
     def __post_init__(self):
         vecs = [as_vector(v, check_finite=False) for v in self.vectors]
         n = self.dims.total
+        self.dims.check(n)  # rejects non-positive local dimensions
         if len(vecs) != n:
             raise ValueError(f"basis has {len(vecs)} vectors, expected {n}")
         for v in vecs:
@@ -301,7 +301,7 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
     local move can (:func:`alignment_unitary` on the sender's index); the
     reported separation is the trace distance between the receiver's reduced
     outputs with and without it. Returns None when no such pair separates the
-    outputs by more than WITNESS_THRESHOLD, as for a basis within a hair of a
+    outputs by more than SEARCH_THRESHOLD, as for a basis within a hair of a
     causal one.
     """
     verdict = semicausal_basis_test(basis, side, tol)
@@ -322,7 +322,7 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
         for a_idx in np.nonzero(steerable[b_idx])[0]:
             u = alignment_unitary(states[b_idx], states[a_idx])
             sep = trace_distance(plain, _receiver_output(bras, t.sigmas, u @ states[b_idx]))
-            if sep > WITNESS_THRESHOLD:
+            if sep > SEARCH_THRESHOLD:
                 return BasisWitness(side, b_idx, u, sep)
     return None
 

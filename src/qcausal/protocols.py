@@ -16,17 +16,16 @@ import numpy as np
 
 from .channels import KrausChannel
 from .linalg import (
-    BiDims,
     I2,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
+    PAULIS,
+    BiDims,
     alignment_unitary,
     as_matrix,
     basis_vector,
     dag,
     is_unitary,
-    kron_all,
     tensor_product,
 )
 from .measurements import OrthogonalBasis, PartitionStructure, bell_states, semicausal_structure
@@ -105,7 +104,7 @@ def _cnot(n: int, control: int, target: int) -> np.ndarray:
     mats1 = [I2] * n
     mats1[control] = p1
     mats1[target] = PAULI_X
-    return kron_all(*mats0) + kron_all(*mats1)
+    return tensor_product(*mats0) + tensor_product(*mats1)
 
 
 @functools.cache
@@ -164,7 +163,7 @@ def entanglement_swap_channel() -> KrausChannel:
     projection, so the channel is the Bell measurement.
     """
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    w = _copy_isometry(kron_all(basis_vector(2, 0), basis_vector(2, 0), plus, plus))
+    w = _copy_isometry(tensor_product(basis_vector(2, 0), basis_vector(2, 0), plus, plus))
     bells = np.stack(bell_states()).conj()
     raw = np.einsum("xrsy,ir,js->ijxy", w, bells, bells, optimize=True).reshape(16, 4, 4)
     corrections = []
@@ -180,9 +179,6 @@ def entanglement_swap_channel() -> KrausChannel:
 # One-way classical protocol for the twisted quadrant basis
 # ---------------------------------------------------------------------------
 
-_PAULIS = (I2, PAULI_X, PAULI_Y, PAULI_Z)
-PAULI_LABELS = ("I", "X", "Y", "Z")
-
 
 def _quadrant_projectors() -> list[np.ndarray]:
     p = np.zeros((2, 4, 4), dtype=complex)
@@ -197,7 +193,7 @@ def twisted_partition_protocol_kraus(u_b: np.ndarray) -> KrausChannel:
     Alice measures her row and sends it to Bob, who measures his column; both
     apply the shared random Pauli, Bob's conjugated by the twist exactly on
     the twisted quadrant. Branch ``8 * row + 4 * column + pauli`` is one Kraus
-    operator.
+    operator, with the Paulis in the order of ``linalg.PAULIS``.
     """
     u_b = as_matrix(u_b)
     if not is_unitary(u_b) or u_b.shape != (2, 2):
@@ -206,10 +202,10 @@ def twisted_partition_protocol_kraus(u_b: np.ndarray) -> KrausChannel:
     kraus = []
     for alpha in range(2):
         for beta in range(2):
-            for sigma in _PAULIS:
-                a_op = kron_all(I2, sigma)
+            for sigma in PAULIS.values():
+                a_op = tensor_product(I2, sigma)
                 bob_sigma = u_b @ sigma @ dag(u_b) if (alpha, beta) == (1, 1) else sigma
-                b_op = kron_all(I2, bob_sigma)
+                b_op = tensor_product(I2, bob_sigma)
                 k = tensor_product(a_op, b_op) @ tensor_product(blocks[alpha], blocks[beta])
                 kraus.append(k / 2)
     return KrausChannel(tuple(kraus), BiDims(4, 4))

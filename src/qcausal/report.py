@@ -22,7 +22,7 @@ from .causality import (
 )
 from .channels import KrausChannel, channel_distance, measurement_channel, validate
 from .games import CIRELSON_VALUE, channel_game_value
-from .linalg import BiDims
+from .linalg import ATOL, BiDims
 from .measurements import (
     BasisWitness,
     OrthogonalBasis,
@@ -126,7 +126,7 @@ def _channel_witness(ch: KrausChannel, direction: str) -> dict:
                     f"outputs by more than {SEARCH_THRESHOLD:g}"}
 
 
-def classify_basis(basis: OrthogonalBasis, tol: float = 1e-9) -> ClassificationReport:
+def classify_basis(basis: OrthogonalBasis, tol: float = ATOL) -> ClassificationReport:
     """Full classification of a complete orthogonal measurement basis."""
     ch = measurement_channel(basis)
     tp = validate(ch, tol)
@@ -188,7 +188,7 @@ def _attach_game_value(report: ClassificationReport, ch: KrausChannel) -> None:
         report.localizability = "not localizable (game-value certificate)"
 
 
-def classify_channel(ch: KrausChannel, tol: float = 1e-9) -> ClassificationReport:
+def classify_channel(ch: KrausChannel, tol: float = ATOL) -> ClassificationReport:
     """Full classification of a Kraus channel."""
     tp = validate(ch, tol)
     report = ClassificationReport("channel", ch.dims, tp.tp, tp.deviation)

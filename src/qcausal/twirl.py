@@ -16,26 +16,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply, choi, choi_distance, compose
+from .channels import KrausChannel
 from .linalg import (
     ATOL,
-    BiDims,
-    I2,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
+    PAULIS,
+    BiDims,
     as_matrix,
     dag,
     fix_phase,
     frobenius,
     is_unitary,
-    kron_all,
     mat_close,
     tensor_product,
 )
 from .measurements import CausalGrid, OrthogonalBasis
-
-_PAULI_BY_LETTER = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class PauliString:
     sign: int = 1
 
     def __post_init__(self):
-        if not self.letters or any(c not in _PAULI_BY_LETTER for c in self.letters):
+        if not self.letters or any(c not in PAULIS for c in self.letters):
             raise ValueError(f"letters must be over I, X, Y, Z; got {self.letters!r}")
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -81,7 +77,7 @@ class PauliString:
         return len(self.letters)
 
     def to_matrix(self) -> np.ndarray:
-        return self.sign * kron_all(*(_PAULI_BY_LETTER[c] for c in self.letters))
+        return self.sign * tensor_product(*(PAULIS[c] for c in self.letters))
 
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n_qubits != other.n_qubits:
@@ -89,12 +85,6 @@ class PauliString:
         anti = sum(1 for a, b in zip(self.letters, other.letters)
                    if a != "I" and b != "I" and a != b)
         return anti % 2 == 0
-
-    def symplectic(self) -> np.ndarray:
-        """GF(2) (x|z) vector: X -> (1|0), Z -> (0|1), Y -> (1|1)."""
-        x = [1 if c in "XY" else 0 for c in self.letters]
-        z = [1 if c in "ZY" else 0 for c in self.letters]
-        return np.array(x + z, dtype=np.uint8)
 
 
 def _canonical(u: np.ndarray) -> np.ndarray:
@@ -167,30 +157,18 @@ def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel
     return KrausChannel(kraus, basis.dims)
 
 
-def _independent(generators: Sequence[PauliString]) -> bool:
-    rows = np.stack([g.symplectic() for g in generators]).astype(np.uint8)
-    rank = 0
-    m = rows.copy()
-    n_cols = m.shape[1]
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, m.shape[0]) if m[r, col]), None)
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(m.shape[0]):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank == len(generators)
-
-
 def stabilizer_channel(generators: Sequence[PauliString],
                        dims: BiDims | None = None) -> KrausChannel:
     """Projection onto the joint eigenspaces of commuting, independent generators.
 
     The Kraus list holds one eigenprojector per sign pattern. Equals the twirl
-    over the generated group (checked by :func:`structure_check` consumers via
-    Choi equality). Default bipartition splits off the first qubit.
+    over the generated group (:func:`stabilizer_twirl`, compared by Choi
+    equality). Default bipartition splits off the first qubit.
+
+    k independent generators split the 2**n dimensions into 2**k joint
+    eigenspaces, none of them empty, so k <= n. The generators are dependent
+    iff a product of some of them is +-I, which empties every sign pattern
+    that contradicts that product: fewer than 2**k projectors are nonzero.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -201,12 +179,8 @@ def stabilizer_channel(generators: Sequence[PauliString],
         for h in generators[i + 1:]:
             if not g.commutes_with(h):
                 raise ValueError(f"generators {g} and {h} do not commute")
-    if not _independent(generators):
+    if len(generators) > n:
         raise ValueError("generators are dependent")
-    if dims is None:
-        dims = BiDims(2, 2 ** (n - 1))
-    if dims.total != 2 ** n:
-        raise ValueError(f"bipartition {dims} does not cover {n} qubits")
     dim = 2 ** n
     mats = [g.to_matrix() for g in generators]
     kraus = []
@@ -217,6 +191,12 @@ def stabilizer_channel(generators: Sequence[PauliString],
             p = p @ (np.eye(dim) + sign * mat) / 2
         if frobenius(p) > ATOL:
             kraus.append(p)
+    if len(kraus) < 2 ** len(mats):
+        raise ValueError("generators are dependent")
+    if dims is None:
+        dims = BiDims(2, 2 ** (n - 1))
+    if dims.total != dim:
+        raise ValueError(f"bipartition {dims} does not cover {n} qubits")
     return KrausChannel(tuple(kraus), dims)
 
 
@@ -251,7 +231,8 @@ def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
 
 def pauli_twirl_group() -> ProjectiveUnitaryGroup:
     """The two-qubit group {I(x)I, X(x)X, Y(x)Y, Z(x)Z} modulo phase."""
-    return close_group([kron_all(PAULI_X, PAULI_X), kron_all(PAULI_Z, PAULI_Z)], max_order=4)
+    return close_group([tensor_product(PAULI_X, PAULI_X), tensor_product(PAULI_Z, PAULI_Z)],
+                       max_order=4)
 
 
 def bell_twirl() -> KrausChannel:
@@ -266,42 +247,6 @@ def werner_twirl() -> KrausChannel:
     the three triplet Bell weights are equalized.
     """
     single = tetrahedral_group()
-    elements = tuple(kron_all(u, u) for u in single.elements)
+    elements = tuple(tensor_product(u, u) for u in single.elements)
     return twirl_channel(ProjectiveUnitaryGroup(elements), BiDims(2, 2))
 
-
-@dataclass(frozen=True)
-class TwirlStructureReport:
-    commutes_with_group: bool
-    idempotent: bool
-    max_commutator: float
-    idempotence_gap: float
-
-    @property
-    def ok(self) -> bool:
-        return self.commutes_with_group and self.idempotent
-
-
-def twirl_structure_check(group: ProjectiveUnitaryGroup, ch: KrausChannel,
-                          tol: float = ATOL) -> TwirlStructureReport:
-    """Operational consequences of the irreducible-sector averaging identity.
-
-    (i) outputs commute with every group element (checked on all matrix units,
-    hence by linearity for every input); (ii) the channel is idempotent as a
-    map (Choi equality of ch and ch after ch). Requires ch == twirl of group.
-    """
-    if not mat_close(choi(twirl_channel(group, ch.dims)).matrix, choi(ch).matrix,
-                     ATOL * ch.dim ** 2):
-        raise ValueError("channel is not the twirl of the given group")
-    dim = ch.dim
-    worst = 0.0
-    unit = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            unit[:] = 0
-            unit[i, j] = 1.0
-            out = apply(ch, unit)
-            for u in group.elements:
-                worst = max(worst, frobenius(out @ u - u @ out))
-    gap = choi_distance(choi(compose(ch, ch)), choi(ch))
-    return TwirlStructureReport(worst < tol * dim, gap < tol * dim, float(worst), float(gap))

@@ -1,8 +1,9 @@
-"""Shared test fixtures: seeded generators and the basis corpus."""
+"""Shared test fixtures: seeded generators, the basis corpus and the Choi oracle."""
 
 import numpy as np
 import pytest
 
+from qcausal.channels import ChoiState
 from qcausal.linalg import BiDims, haar_unitary
 from qcausal.measurements import (
     OrthogonalBasis,
@@ -20,6 +21,30 @@ from qcausal.measurements import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _choi_of_map(f, dims: BiDims) -> ChoiState:
+    """Choi state of an arbitrary linear map ``f``, assembled from matrix units
+    one application at a time, independently of ``channels.choi``."""
+    na, nb = dims
+    n = dims.total
+    out = np.zeros((na * n * nb, na * n * nb), dtype=complex)
+    t = out.reshape(na, n, nb, na, n, nb)
+    unit = np.zeros((n, n), dtype=complex)
+    for i in range(na):
+        for k in range(na):
+            for j in range(nb):
+                for ell in range(nb):
+                    unit[:] = 0
+                    unit[i * nb + j, k * nb + ell] = 1.0
+                    t[i, :, j, k, :, ell] += f(unit)
+    return ChoiState(out, dims)
+
+
+@pytest.fixture(scope="session")
+def choi_of_map():
+    """The matrix-unit Choi oracle, ``choi_of_map(f, dims) -> ChoiState``."""
+    return _choi_of_map
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,6 @@ from qcausal.causality import (
     A_TO_B,
     B_TO_A,
     _marginal,
-    causal_test,
     semicausal_test,
     signaling_search,
     unitary_product_test,
@@ -50,21 +49,26 @@ def test_conditional_basis_one_way():
     assert not semicausal_test(ch, A_TO_B)
 
 
+def _assert_causal_without_witness(ch):
+    report = classify_channel(ch)
+    assert report.causal
+    assert report.b_to_a_blocked.witness is None and report.a_to_b_blocked.witness is None
+
+
 def test_causal_test_and_box():
-    verdict = causal_test(and_box_channel())
-    assert verdict.causal and verdict.witness is None
+    _assert_causal_without_witness(and_box_channel())
 
 
 def test_causal_test_mismatch_basis():
-    verdict = causal_test(measurement_channel(mismatch_basis()))
-    assert verdict.causal and verdict.witness is None
+    _assert_causal_without_witness(measurement_channel(mismatch_basis()))
 
 
 def test_causal_test_incomplete_bell_attaches_witness():
-    verdict = causal_test(incomplete_bell_channel())
-    assert not verdict.b_to_a_blocked and not verdict.a_to_b_blocked
-    assert verdict.witness is not None and verdict.witness.separation > 0.4
-    assert verdict.witness.direction == B_TO_A
+    report = classify_channel(incomplete_bell_channel())
+    assert not report.b_to_a_blocked.verdict and not report.a_to_b_blocked.verdict
+    for direction, entry in ((B_TO_A, report.b_to_a_blocked), (A_TO_B, report.a_to_b_blocked)):
+        assert entry.witness["kind"] == "pure-product-search"
+        assert entry.witness["direction"] == direction and entry.witness["separation"] > 0.4
 
 
 def _bloch_grid_states(n=7):
@@ -256,8 +260,8 @@ def _normalize_kraus(ops):
     return [op @ inv_sqrt for op in ops]
 
 
-def test_random_channels_have_psd_choi_and_consistent_constructions(rng):
-    from qcausal.channels import apply, choi, choi_is_psd, choi_of_map, choi_distance
+def test_random_channels_have_psd_choi_and_consistent_constructions(rng, choi_of_map):
+    from qcausal.channels import apply, choi, choi_distance
 
     for dims in (D22, BiDims(2, 3)):
         n = dims.total
@@ -265,7 +269,7 @@ def test_random_channels_have_psd_choi_and_consistent_constructions(rng):
         ch = KrausChannel(tuple(_normalize_kraus(z)), dims)
         assert validate(ch).tp
         c = choi(ch)
-        assert choi_is_psd(c)
+        assert np.linalg.eigvalsh(c.matrix).min() > -1e-9 * len(c.matrix)
         assert abs(np.trace(c.matrix) - n) < 1e-9
         assert choi_distance(c, choi_of_map(lambda x: apply(ch, x), dims)) < 1e-9
 
@@ -276,9 +280,7 @@ def _random_kraus(dims, k, rng):
     return KrausChannel(tuple(_normalize_kraus(z)), dims)
 
 
-def test_choi_marginal_matches_choi_of_map_oracle(rng):
-    from qcausal.channels import choi_of_map
-
+def test_choi_marginal_matches_choi_of_map_oracle(rng, choi_of_map):
     for dims in (D22, BiDims(2, 3), BiDims(3, 2)):
         na, nb = dims
         ch = _random_kraus(dims, 2, rng)

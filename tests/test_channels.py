@@ -6,8 +6,6 @@ from qcausal.channels import (
     apply,
     choi,
     choi_distance,
-    choi_is_psd,
-    choi_of_map,
     compose,
     convex_mixture,
     identity_channel,
@@ -41,6 +39,13 @@ def test_validate_subnormalized():
 def test_validate_rejects_ragged():
     with pytest.raises(ValueError):
         KrausChannel((np.eye(4, dtype=complex), np.eye(3, dtype=complex)), D22)
+
+
+@pytest.mark.parametrize("dims", [BiDims(-2, -2), BiDims(0, 3), BiDims(-1, -1)])
+def test_channel_rejects_non_positive_dimensions(dims):
+    n = dims.total
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        KrausChannel((np.eye(n, dtype=complex),), dims)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -153,10 +158,12 @@ def test_choi_twirl_equals_measurement():
 
 def test_choi_psd_certificate(rng):
     for ch in (identity_channel(D22), bell_twirl(), measurement_channel(conditional_basis())):
-        assert choi_is_psd(choi(ch))
+        c = choi(ch).matrix
+        assert np.linalg.norm(c - c.conj().T) < 1e-12
+        assert np.linalg.eigvalsh(c).min() > -1e-9 * len(c)
 
 
-def test_choi_of_map_agrees_with_kraus_route(rng):
+def test_choi_of_map_agrees_with_kraus_route(rng, choi_of_map):
     for dims in (BiDims(2, 2), BiDims(2, 3)):
         basis_ch = measurement_channel(bell_basis()) if dims == D22 else None
         ch = basis_ch or identity_channel(dims)
@@ -165,7 +172,7 @@ def test_choi_of_map_agrees_with_kraus_route(rng):
         assert choi_distance(direct, via_units) < 1e-9
 
 
-def test_choi_of_composition_from_matrix_units(rng):
+def test_choi_of_composition_from_matrix_units(rng, choi_of_map):
     e1 = measurement_channel(conditional_basis())
     e2 = bell_twirl()
     composed = compose(e2, e1)

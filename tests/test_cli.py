@@ -113,6 +113,13 @@ def _with_matrix(**overrides) -> dict:
     return _identity_channel_doc(kraus=[dict(_identity_channel_doc()["kraus"][0], **overrides)])
 
 
+def _bell_basis_doc(field: str, value) -> dict:
+    with open(_fixture_path("bell_basis.json")) as fh:
+        doc = json.load(fh)
+    (doc["vectors"][0] if field in ("rows", "cols") else doc)[field] = value
+    return doc
+
+
 @pytest.mark.parametrize("text", [
     json.dumps(_with_matrix(data=5)),
     json.dumps(_with_matrix(data=None)),
@@ -121,7 +128,11 @@ def _with_matrix(**overrides) -> dict:
     json.dumps(_identity_channel_doc()).replace("1.0", str(10**400), 1),
     json.dumps(_with_matrix(rows="x")),
     json.dumps(_identity_channel_doc(dimA="a")),
-], ids=["data-int", "data-null", "kraus-int", "entry-overflow", "rows-string", "dimA-string"])
+    # negative local dimensions whose product still matches the 4 x 4 data
+    json.dumps(_identity_channel_doc(dimA=-2, dimB=-2)),
+    json.dumps(dict(_bell_basis_doc("dimA", -2), dimB=-2)),
+], ids=["data-int", "data-null", "kraus-int", "entry-overflow", "rows-string", "dimA-string",
+        "channel-negative-dims", "basis-negative-dims"])
 def test_classify_malformed_document_exit_2(tmp_path, capsys, text):
     path = tmp_path / "malformed.json"
     path.write_text(text)
@@ -136,13 +147,6 @@ def test_classify_non_utf8_file_exit_2(tmp_path, capsys):
     assert main(["classify", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read") and "utf-8" in err
-
-
-def _bell_basis_doc(field: str, value) -> dict:
-    with open(_fixture_path("bell_basis.json")) as fh:
-        doc = json.load(fh)
-    (doc["vectors"][0] if field in ("rows", "cols") else doc)[field] = value
-    return doc
 
 
 @pytest.mark.parametrize("field, value", [
@@ -176,6 +180,13 @@ def test_classify_invariant_failure(tmp_path, capsys):
     path = tmp_path / "subnormalized.json"
     path.write_text(json.dumps(doc))
     assert main(["classify", str(path)]) == 3
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf", "x"])
+def test_classify_tol_must_be_positive_and_finite(capsys, tol):
+    assert main(["classify", _fixture_path("bell_basis.json"), "--json", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
 
 
 def test_near_causal_basis_follows_tol(tmp_path, capsys, near_causal_basis):
@@ -224,6 +235,14 @@ def test_demo_ip(capsys):
     assert main(["demo", "ip", "--x", "101", "--y", "110"]) == 0
     assert capsys.readouterr().out.strip() == "1"
     assert main(["demo", "ip", "--x", "10", "--y", "1"]) == 2
+
+
+@pytest.mark.parametrize("x, y", [("12", "10"), ("10", "ab"), ("", "")])
+def test_demo_ip_bad_bitstring_exit_2(capsys, x, y):
+    assert main(["demo", "ip", "--x", x, "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "bitstring" in captured.err
 
 
 def test_demo_unknown_name():

@@ -3,7 +3,6 @@ from itertools import product
 import numpy as np
 import pytest
 
-from qcausal.causality import causal_test
 from qcausal.channels import KrausChannel, apply, choi, validate
 from qcausal.games import (
     CIRELSON_VALUE,
@@ -16,12 +15,12 @@ from qcausal.games import (
     chsh_success_quantum,
     entangled_local_protocol,
     ip_demo,
-    ip_demo_all_branches,
     joint_outcome_distribution,
     optimal_quantum_strategy,
 )
 from qcausal.linalg import BiDims, PAULI_X, PAULI_Z, haar_unitary, partial_trace, proj, random_pure_state
 from qcausal.channels import identity_channel
+from qcausal.report import classify_channel
 
 D22 = BiDims(2, 2)
 
@@ -75,9 +74,9 @@ def test_quantum_strategy_validation():
         QuantumStrategy(2 * phi_plus, PAULI_Z, PAULI_Z, PAULI_Z, PAULI_Z)
 
 
-def _random_observable(rng):
-    u = haar_unitary(2, rng)
-    signs = np.diag(rng.choice([-1.0, 1.0], size=2))
+def _random_observable(rng, d=2):
+    u = haar_unitary(d, rng)
+    signs = np.diag(rng.choice([-1.0, 1.0], size=d))
     return u @ signs @ u.conj().T
 
 
@@ -138,8 +137,7 @@ def test_and_box_marginals_maximally_mixed(rng):
 def test_and_box_wins_with_certainty_and_is_causal():
     ch = and_box_channel()
     assert channel_game_value(ch) == pytest.approx(1.0, abs=1e-12)
-    verdict = causal_test(ch)
-    assert verdict.causal
+    assert classify_channel(ch).causal
 
 
 def test_channel_game_value_enumeration_oracle():
@@ -187,6 +185,19 @@ def test_ip_demo_values():
     assert ip_demo("1111", "1111") == 0
 
 
+def _ip_demo_all_branches(x, y):
+    """Every reachable final bit of the IP demo over all AND-box branch combinations."""
+    results = set()
+    for branches in product((0, 1), repeat=len(x)):
+        a_total = 0
+        b_total = 0
+        for xi, yi, a in zip(x, y, branches):
+            a_total ^= a
+            b_total ^= a ^ (int(xi) & int(yi))
+        results.add(a_total ^ b_total)
+    return results
+
+
 def test_ip_demo_exhaustive_small_lengths():
     for n in (1, 2, 3):
         for bits in product("01", repeat=2 * n):
@@ -195,7 +206,7 @@ def test_ip_demo_exhaustive_small_lengths():
             expected = 0
             for xi, yi in zip(x, y):
                 expected ^= int(xi) & int(yi)
-            assert ip_demo_all_branches(x, y) == {expected}
+            assert _ip_demo_all_branches(x, y) == {expected}
 
 
 def test_ip_demo_deterministic_given_seed():
@@ -204,12 +215,32 @@ def test_ip_demo_deterministic_given_seed():
         ip_demo("10", "1")  # length mismatch surfaces in the CLI layer too
 
 
+def _reference_success(s):
+    """The strategy's success probability scored straight off its outcome distributions."""
+    p = 0.0
+    for x, y in product((0, 1), repeat=2):
+        dist = joint_outcome_distribution(s, x, y)
+        p += sum(dist[a, b] for a, b in product((0, 1), repeat=2) if (a ^ b) == (x & y))
+    return p / 4
+
+
 def test_entangled_local_protocol_matches_strategy():
     s = optimal_quantum_strategy()
     ch = entangled_local_protocol(s)
     assert validate(ch).tp
-    assert abs(channel_game_value(ch) - chsh_success_quantum(s)) < 1e-9
+    assert abs(channel_game_value(ch) - _reference_success(s)) < 1e-9
     assert abs(channel_game_value(ch) - CIRELSON_VALUE) < 1e-9
+
+
+def test_quantum_value_is_the_compiled_protocol_value_beyond_qubits(rng):
+    # the compiled channel acts on the two input bits whatever the shared state's size
+    for da, db in ((2, 2), (3, 3), (2, 3)):
+        for _ in range(10):
+            s = QuantumStrategy(random_pure_state(da * db, rng),
+                                _random_observable(rng, da), _random_observable(rng, da),
+                                _random_observable(rng, db), _random_observable(rng, db))
+            assert abs(chsh_success_quantum(s) - _reference_success(s)) < 1e-12
+            assert chsh_success_quantum(s) <= CIRELSON_VALUE + 1e-9
 
 
 def test_entangled_local_protocol_aligned_strategy():

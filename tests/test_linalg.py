@@ -10,7 +10,6 @@ from qcausal.linalg import (
     BiDims,
     alignment_unitary,
     haar_unitary,
-    hermitian_spectrum,
     max_entangled,
     operator_schmidt,
     partial_trace,
@@ -137,31 +136,6 @@ def test_operator_schmidt_unitary_coefficient_norm(rng):
         u = haar_unitary(na * nb, rng)
         terms = operator_schmidt(u, BiDims(na, nb))
         assert abs(sum(lam ** 2 for lam, _, _ in terms) - 1) < 1e-9
-
-
-def test_hermitian_spectrum_basics():
-    w, v = hermitian_spectrum(PAULI_Z)
-    assert np.allclose(w, [1, -1])
-    w, _ = hermitian_spectrum(np.eye(2) / 2)
-    assert np.allclose(w, [0.5, 0.5])
-    # rank-1 projector oracle
-    w, v = hermitian_spectrum(proj(max_entangled(2)))
-    assert np.allclose(w, [1, 0, 0, 0], atol=1e-12)
-    rec = v @ np.diag(w) @ v.conj().T
-    assert np.linalg.norm(rec - proj(max_entangled(2))) < 1e-9
-
-
-def test_hermitian_spectrum_reconstruction(rng):
-    m = random_density_matrix(6, rng)
-    w, v = hermitian_spectrum(m)
-    assert np.all(np.diff(w) <= 1e-12)
-    assert np.linalg.norm(v @ np.diag(w) @ v.conj().T - m) < 1e-9
-    assert np.linalg.norm(v.conj().T @ v - np.eye(6)) < 1e-9
-
-
-def test_hermitian_spectrum_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_spectrum(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_trace_distance_known_values():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcausal.channels import identity_channel, measurement_channel
-from qcausal.causality import causal_test
 from qcausal.linalg import BiDims, HADAMARD, PAULI_X, PAULI_Z, haar_unitary
 from qcausal.localizability import (
     MEBasisUnitaries,
@@ -82,8 +81,7 @@ def test_twisted_partition_basis_shapes():
     for u in (np.eye(2), HADAMARD, PAULI_X):
         basis = twisted_partition_basis(u)
         assert basis.size == 16
-        verdict = causal_test(measurement_channel(basis))
-        assert verdict.causal
+        assert classify_basis(basis).causal
 
 
 def test_twisted_partition_rejects_nonunitary():

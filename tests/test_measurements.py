@@ -162,6 +162,14 @@ def test_witness_is_none_when_no_pair_clears_the_bar(near_causal_basis):
         assert basis_signaling_witness(near_causal_basis, side) is None
 
 
+def test_basis_rejects_non_positive_dimensions():
+    # BiDims(-2, -2) has 4 as its total, so the four Bell vectors fit its size
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        OrthogonalBasis(bell_basis().vectors, BiDims(-2, -2))
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        OrthogonalBasis((np.ones(1, dtype=complex),), BiDims(-1, -1))
+
+
 def test_tables_are_built_once_and_read_only():
     vecs = [v.copy() for v in conditional_basis().vectors]
     basis = OrthogonalBasis(tuple(vecs), D22)

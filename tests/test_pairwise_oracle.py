@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcausal.causality import SEARCH_THRESHOLD
 from qcausal.channels import apply_to_vector, measurement_channel
 from qcausal.linalg import (
     alignment_unitary,
@@ -26,7 +27,6 @@ from qcausal.linalg import (
     trace_distance,
 )
 from qcausal.measurements import (
-    WITNESS_THRESHOLD,
     _support_projector,
     basis_signaling_witness,
     causal_structure,
@@ -134,7 +134,7 @@ def reference_witness(basis, side, tol):
             vec = basis.vectors[b_idx]
             sep = trace_distance(partial_trace(apply_to_vector(ch, vec), basis.dims, other),
                                  partial_trace(apply_to_vector(ch, full @ vec), basis.dims, other))
-            if sep > WITNESS_THRESHOLD:
+            if sep > SEARCH_THRESHOLD:
                 return b_idx, sep
     return None
 

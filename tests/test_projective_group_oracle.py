@@ -3,8 +3,9 @@
 ``extract_unitaries`` takes its Gram matrix from one einsum over the stacked
 unitaries, and ``projective_group_test`` decides closure from one table of
 |tr(W^dag U_i U_j)|. The references below are the double loops they replaced,
-one ``np.trace`` per entry; both must give the same unitaries, the same
-certificate pair, the same residual and the same ``None``.
+one ``np.trace`` per entry, with the unitaries in basis order; both must give
+the same unitaries, the same certificate pair, the same residual and the same
+``None``.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal.linalg import ATOL, dag, frobenius, is_unitary, kron_all, max_entangled
+from qcausal.linalg import ATOL, dag, frobenius, is_unitary, max_entangled, tensor_product
 from qcausal.localizability import (
     MEBasisUnitaries,
     PreconditionError,
@@ -23,7 +24,8 @@ from qcausal.localizability import (
     mismatch_unitaries,
     projective_group_test,
 )
-from qcausal.measurements import bell_basis
+from qcausal.measurements import OrthogonalBasis, bell_basis
+from qcausal.report import classify_basis
 
 
 def _reference_extract(basis, tol=ATOL):
@@ -37,8 +39,8 @@ def _reference_extract(basis, tol=ATOL):
     anchor = int(np.argmax([abs(np.vdot(phi_un, v)) for v in basis.vectors]))
     w_a, _, vh = np.linalg.svd(basis.vectors[anchor].reshape(d, d))
     unitaries = []
-    for k in [anchor] + [k for k in range(basis.size) if k != anchor]:
-        aligned = kron_all(dag(w_a), vh.conj()) @ basis.vectors[k]
+    for k in range(basis.size):
+        aligned = tensor_product(dag(w_a), vh.conj()) @ basis.vectors[k]
         u = np.sqrt(d) * aligned.reshape(d, d)
         if not is_unitary(u, 1e-8):
             raise ValueError(f"extracted operator {k} is not unitary")
@@ -124,6 +126,23 @@ def test_named_me_bases_match_the_loops(make_basis):
 def test_mismatch_certificate_is_found():
     cert = projective_group_test(extract_unitaries(mismatch_basis()))
     assert cert is not None and cert.residual > 1e-6
+
+
+def test_certificate_pair_indexes_a_reordered_basis():
+    # with state 15 moved to the front the anchor (the old state 0) sits at
+    # index 1; the unitaries stay in basis order, so the reported pair names
+    # basis states whose product matches no basis unitary
+    basis = mismatch_basis()
+    order = [15] + list(range(15))
+    reordered = OrthogonalBasis(tuple(basis.vectors[k] for k in order), basis.dims)
+    us = extract_unitaries(reordered)
+    assert np.allclose(us.unitaries[1], np.eye(4))
+    cert = projective_group_test(us)
+    assert cert is not None and cert.evidence["pair"] == (0, 2)
+    i, j = cert.evidence["pair"]
+    product = us.unitaries[i] @ us.unitaries[j]
+    assert max(abs(np.trace(dag(w) @ product)) for w in us.unitaries) < 4 - 1e-6
+    assert classify_basis(reordered).obstructions[0]["pair"] == [i, j]
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ from qcausal.channels import (
     channel_distance,
     choi,
     choi_distance,
+    compose,
     measurement_channel,
     validate,
 )
@@ -44,7 +45,6 @@ from qcausal.twirl import (
     stabilizer_twirl,
     tetrahedral_group,
     twirl_channel,
-    twirl_structure_check,
     werner_twirl,
 )
 
@@ -154,6 +154,47 @@ def test_stabilizer_rejects_bad_generators():
                             PauliString.parse("-YY")])
 
 
+def _symplectic_rank(generators):
+    """GF(2) rank of the generators' (x|z) vectors, X -> (1|0), Z -> (0|1), Y -> (1|1)."""
+    rows = [int("".join("1" if c in "XY" else "0" for c in g.letters)
+                + "".join("1" if c in "ZY" else "0" for c in g.letters), 2) for g in generators]
+    rank = 0
+    while rows and max(rows):
+        pivot = max(rows)
+        rows.remove(pivot)
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if r >> top & 1 else r for r in rows]
+        rank += 1
+    return rank
+
+
+def _commuting(generators):
+    return all(g.commutes_with(h) for i, g in enumerate(generators) for h in generators[i + 1:])
+
+
+def test_stabilizer_dependence_matches_symplectic_rank(rng):
+    # dependent generators leave some sign pattern's projector empty; the oracle
+    # is the GF(2) rank of the symplectic vectors
+    two = [PauliString(a + b, sign) for a in "IXYZ" for b in "IXYZ" for sign in (1, -1)]
+    sets = [[g] for g in two] + [[g, h] for i, g in enumerate(two) for h in two[i + 1:]]
+    sets += [[two[k] for k in rng.choice(len(two), 3, replace=False)] for _ in range(200)]
+    three = [PauliString("".join(rng.choice(list("IXYZ"), 3)), int(rng.choice([1, -1])))
+             for _ in range(300)]
+    sets += [list(three[k:k + 3]) for k in range(0, 300, 3)]
+    sets += [[PauliString("XXI"), PauliString("IXX"), PauliString("XIX")],
+             [PauliString("ZZ"), PauliString("ZZ", -1)], [PauliString("II")]]
+    checked = 0
+    for gens in filter(_commuting, sets):
+        independent = _symplectic_rank(gens) == len(gens)
+        if independent:
+            assert len(stabilizer_channel(gens).kraus) == 2 ** len(gens)
+        else:
+            with pytest.raises(ValueError, match="dependent"):
+                stabilizer_channel(gens)
+        checked += 1
+    assert checked > 300
+
+
 def test_stabilizer_matches_twirl_on_fixtures():
     fixture_sets = [
         [PauliString.parse("+XX"), PauliString.parse("+ZZ")],
@@ -203,18 +244,38 @@ def test_twirl_channels_are_causal_for_product_groups():
         assert semicausal_test(ch, A_TO_B)
 
 
+def twirl_structure_check(group, ch, tol=1e-9):
+    """Operational consequences of the irreducible-sector averaging identity.
+
+    (i) outputs commute with every group element (checked on all matrix units,
+    hence by linearity for every input); (ii) the channel is idempotent as a
+    map (Choi equality of ch and ch after ch). Requires ch == twirl of group.
+    """
+    if choi_distance(choi(twirl_channel(group, ch.dims)), choi(ch)) >= tol * ch.dim ** 2:
+        raise ValueError("channel is not the twirl of the given group")
+    dim = ch.dim
+    worst = 0.0
+    unit = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            unit[:] = 0
+            unit[i, j] = 1.0
+            out = apply(ch, unit)
+            for u in group.elements:
+                worst = max(worst, np.linalg.norm(out @ u - u @ out))
+    gap = choi_distance(choi(compose(ch, ch)), choi(ch))
+    assert worst < tol * dim and gap < tol * dim, (worst, gap)
+
+
 def test_structure_check_on_twirls():
     for group, dims in ((pauli_twirl_group(), D22),):
-        report = twirl_structure_check(group, twirl_channel(group, dims))
-        assert report.ok
+        twirl_structure_check(group, twirl_channel(group, dims))
     wt = werner_twirl()
     tetra_two_qubit = ProjectiveUnitaryGroup(
         tuple(tensor_product(u, u) for u in tetrahedral_group().elements))
-    report = twirl_structure_check(tetra_two_qubit, wt)
-    assert report.ok
+    twirl_structure_check(tetra_two_qubit, wt)
     trivial = close_group([np.eye(4, dtype=complex)])
-    report = twirl_structure_check(trivial, twirl_channel(trivial, D22))
-    assert report.ok
+    twirl_structure_check(trivial, twirl_channel(trivial, D22))
 
 
 def test_structure_check_rejects_mismatched_channel():
