@@ -49,6 +49,10 @@ from .report import classify_basis, classify_channel
 from .serialize import ParseError, dump_document, load_document
 from .twirl import PauliString, bell_twirl, stabilizer_channel, werner_twirl
 
+# The largest --tol: above it the pairwise and Choi criteria, or the subspace
+# counts, stop agreeing on valid inputs, which then exit 3.
+MAX_TOL = 1e-3
+
 _NAMED_UNITARIES = {
     "identity": np.eye(2, dtype=complex),
     "hadamard": HADAMARD,
@@ -193,38 +197,29 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return handlers[args.name](args)
 
 
-def _build_twirl(args: argparse.Namespace) -> KrausChannel:
-    if args.group == "pauli":
-        return bell_twirl()
-    return werner_twirl()
+def _build_stabilizer(args: argparse.Namespace) -> KrausChannel:
+    if not args.generators:
+        raise ValueError("stabilizer build needs generator strings, e.g. +XX +ZZ")
+    return stabilizer_channel([PauliString.parse(g) for g in args.generators])
+
+
+_BUILDERS = {
+    "twirl": lambda args: bell_twirl() if args.group == "pauli" else werner_twirl(),
+    "stabilizer": _build_stabilizer,
+    "twisted-basis": lambda args: twisted_partition_basis(_NAMED_UNITARIES[args.u]),
+    "mismatch": lambda args: mismatch_basis(),
+    "andbox": lambda args: and_box_channel(),
+    "bell-basis": lambda args: bell_basis(),
+    "sorkin": lambda args: incomplete_bell_channel(),
+    "conditional-basis": lambda args: conditional_basis(),
+    "completion-basis": lambda args: completion_basis(),
+}
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     try:
-        if args.kind == "twirl":
-            obj = _build_twirl(args)
-        elif args.kind == "stabilizer":
-            if not args.generators:
-                raise ValueError("stabilizer build needs generator strings, e.g. +XX +ZZ")
-            gens = [PauliString.parse(g) for g in args.generators]
-            obj = stabilizer_channel(gens)
-        elif args.kind == "twisted-basis":
-            obj = twisted_partition_basis(_NAMED_UNITARIES[args.u])
-        elif args.kind == "mismatch":
-            obj = mismatch_basis()
-        elif args.kind == "andbox":
-            obj = and_box_channel()
-        elif args.kind == "bell-basis":
-            obj = bell_basis()
-        elif args.kind == "sorkin":
-            obj = incomplete_bell_channel()
-        elif args.kind == "conditional-basis":
-            obj = conditional_basis()
-        elif args.kind == "completion-basis":
-            obj = completion_basis()
-        else:
-            raise ValueError(f"unknown build kind {args.kind!r}")
-    except (ValueError, KeyError) as exc:
+        obj = _BUILDERS[args.kind](args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     dump_document(obj, args.output)
@@ -241,8 +236,8 @@ def _positive_int(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    if not (math.isfinite(value) and 0 < value <= MAX_TOL):
+        raise argparse.ArgumentTypeError(f"must be a number in (0, {MAX_TOL:g}], got {text}")
     return value
 
 
@@ -255,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("path", help="input file (bundled fixture names also work)")
     p_classify.add_argument("--json", action="store_true", help="machine-readable output")
     p_classify.add_argument("--tol", type=_tolerance, default=ATOL,
-                            help="matrix comparison tolerance, a positive finite number")
+                            help=f"matrix comparison tolerance, a number in (0, {MAX_TOL:g}]")
     p_classify.set_defaults(func=_cmd_classify)
 
     p_demo = sub.add_parser("demo", help="run a bundled demonstration")
@@ -272,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.set_defaults(func=_cmd_demo)
 
     p_build = sub.add_parser("build", help="write a constructed channel/basis as JSON")
-    p_build.add_argument("kind", choices=["twirl", "stabilizer", "twisted-basis", "mismatch",
-                                          "andbox", "bell-basis", "sorkin",
-                                          "conditional-basis", "completion-basis"])
+    p_build.add_argument("kind", choices=list(_BUILDERS))
     p_build.add_argument("generators", nargs="*",
                          help="stabilizer build: Pauli strings like +XX +ZZ")
     p_build.add_argument("--group", default="pauli", choices=["pauli", "tetrahedral"],

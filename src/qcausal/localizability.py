@@ -177,27 +177,16 @@ def _block_embed(u: np.ndarray, block: int) -> np.ndarray:
 def extract_unitaries(basis: OrthogonalBasis, tol: float = ATOL) -> MEBasisUnitaries:
     """Recover the defining unitaries of a maximally entangled d x d basis.
 
-    The element with the largest overlap with the unnormalized reference pair
-    state is the anchor; both local bases are re-aligned to its Schmidt frames
-    so the anchor becomes the reference state and its unitary the identity.
-    Each unitary is sqrt(d) times the reshaped, re-aligned vector, kept at its
-    basis state's index.
+    They are the cell unitaries of its one-cell causal grid
+    (:func:`causal_structure`), in basis order, the anchor's the identity.
     """
-    na, nb = basis.dims
-    if na != nb:
+    d, nb = basis.dims
+    if d != nb:
         raise ValueError("maximally entangled bases need equal local dimensions")
-    d = na
-    scale = max(1.0, d * d)
-    rows = np.stack(basis.vectors)
-    s = np.linalg.svd(rows.reshape(-1, d, d), compute_uv=False)
-    entangled = np.all(np.abs(s - 1 / np.sqrt(d)) <= tol * scale, axis=1)
-    if not entangled.all():
-        raise ValueError(f"basis state {int(np.argmin(entangled))} is not maximally entangled")
-    phi_un = max_entangled(d, normalized=False)
-    anchor = int(np.argmax([abs(np.vdot(phi_un, v)) for v in basis.vectors]))
-    w_a, _, vh = np.linalg.svd(basis.vectors[anchor].reshape(d, d))
-    frame = tensor_product(dag(w_a), vh.conj())
-    stack = np.stack([np.sqrt(d) * (frame @ v).reshape(d, d) for v in basis.vectors])
+    grid = causal_structure(basis, tol)
+    if grid.d != d:
+        raise ValueError(f"basis is not maximally entangled (cell dimension {grid.d})")
+    stack = grid.unitaries
     unitary = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d),
                              axis=(1, 2)) < 1e-8 * d
     if not unitary.all():
@@ -273,37 +262,35 @@ def closure_obstruction_search(basis: OrthogonalBasis,
                                tol: float = ATOL) -> ObstructionCertificate | None:
     """Search a fully causal basis for an eigenstate-closure obstruction.
 
-    Probes are built from the causal grid: shifting one basis state of a cell
-    to the neighboring cell in its row or column is a local invertible move
-    between eigenstates, so closure requires the diagonal shift to land on an
-    eigenstate too. Returns the first certificate found, or nothing.
+    Moving a state u of cell (0, 0) onto a state a of cell (alpha, 0) is a
+    local unitary on A, and onto a state b of cell (0, beta) one on B, so
+    closure needs the joint move to land on an eigenstate too. In the grid's
+    cell unitaries that joint state is J = W_a W_u^dag W_b in cell
+    (alpha, beta); the measurement leaves it sqrt(1 - sum_c p_c**2) from its
+    projector, p_c = |tr(W_c^dag J) / d|**2 over the cell's members. The
+    first triple, in (alpha, beta, u, a, b) order, at or above the bar goes
+    with its two local moves to :func:`eigenstate_closure_test`, which checks
+    every premise on the measurement channel and returns the certificate.
     """
-    grid = causal_structure(basis, tol)
-    if grid.r_a < 2 or grid.r_b < 2:
-        return None
-    ch = measurement_channel(basis)
-    for alpha2 in range(1, grid.r_a):
-        for beta2 in range(1, grid.r_b):
-            for u_idx in grid.cells[0][0]:
-                for a_idx in grid.cells[alpha2][0]:
-                    for b_idx in grid.cells[0][beta2]:
-                        move_a = _cell_shift(basis, u_idx, a_idx, "A")
-                        move_b = _cell_shift(basis, u_idx, b_idx, "B")
-                        cert = eigenstate_closure_test(ch, basis.vectors[u_idx],
-                                                       move_a, move_b, tol)
-                        if cert is not None:
-                            return cert
+    grid, ch = causal_structure(basis, tol), None
+    states, w = basis._rows.reshape(-1, *basis.dims), grid.unitaries
+    for alpha in range(1, grid.r_a):
+        for beta in range(1, grid.r_b):
+            src, dst_a, dst_b, cell = (list(grid.cells[r][c]) for r, c in
+                                       ((0, 0), (alpha, 0), (0, beta), (alpha, beta)))
+            joint = np.einsum("aij,ukj,bkl->uabil", w[dst_a], w[src].conj(), w[dst_b])
+            overlaps = np.einsum("cij,uabij->uabc", w[cell].conj(), joint) / grid.d
+            # 1 - sum p**2 = sum_{c != m} p_c (1 + p_m - p_c) as sum p = 1; the
+            # right side, with the peak p_m sorted last, cancels nothing
+            p = np.sort(np.abs(overlaps) ** 2, axis=-1)
+            residual = np.sqrt((p[..., :-1] * (1 + p[..., -1:] - p[..., :-1])).sum(axis=-1))
+            for u, a, b in np.argwhere(residual >= tol * basis.dims.total):  # row-major
+                u, a, b = src[u], dst_a[a], dst_b[b]
+                if ch is None:
+                    ch = measurement_channel(basis)
+                cert = eigenstate_closure_test(
+                    ch, basis.vectors[u], alignment_unitary(states[u], states[a]),
+                    alignment_unitary(states[u].T, states[b].T), tol)
+                if cert is not None:
+                    return cert
     return None
-
-
-def _cell_shift(basis: OrthogonalBasis, src_idx: int, dst_idx: int, side: str) -> np.ndarray:
-    """A local unitary mapping basis state src to dst, acting on ``side`` only.
-
-    Both states share the other side's cell, so they have the same reduced
-    state there and a local unitary on ``side`` maps one onto the other; the
-    alignment unitary on ``side``'s index is that map on the source's support.
-    """
-    src, dst = (basis.vectors[k].reshape(basis.dims) for k in (src_idx, dst_idx))
-    if side == "B":
-        src, dst = src.T, dst.T
-    return alignment_unitary(src, dst)

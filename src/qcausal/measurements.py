@@ -95,10 +95,17 @@ class PartitionStructure:
 
 @dataclass(frozen=True)
 class CausalGrid:
+    """The cells of a causal basis, with matched frames: state k of cell
+    (alpha, beta), as an (A, B) matrix, is ``rows[alpha] @ unitaries[k] @
+    cols[beta].T / sqrt(d)``."""
+
     d: int
     r_a: int
     r_b: int
     cells: tuple[tuple[tuple[int, ...], ...], ...]  # cells[alpha][beta] -> basis indices
+    rows: np.ndarray = field(compare=False, repr=False)  # (r_a, dim_a, d)
+    cols: np.ndarray = field(compare=False, repr=False)  # (r_b, dim_b, d)
+    unitaries: np.ndarray = field(compare=False, repr=False)  # (n, d, d), basis order
 
 
 @dataclass(frozen=True)
@@ -268,6 +275,13 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     local dimensions, and each (row, column) cell holds d**2 basis states that
     are maximally entangled across it. Inconsistent cell dimensions signal a
     numerical failure, not a legal basis.
+
+    Frames: F_0 and E_0 are the Schmidt frames of the anchor, the member of
+    cell (0, 0) with the largest |tr| of its (A, B) matrix. Row alpha takes
+    the A frame F_alpha that the first state of cell (alpha, 0) pairs with
+    E_0, column beta the B frame E_beta that the first state of cell
+    (0, beta) pairs with F_0, and state k the unitary
+    W_k = sqrt(d) F_alpha^dag M_k conj(E_beta).
     """
     part_a = semicausal_structure(basis, "A", tol)
     part_b = semicausal_structure(basis, "B", tol)
@@ -287,7 +301,22 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
         for members in row:
             if len(members) != d * d:
                 raise ValueError(f"cell holds {len(members)} states, expected {d * d}")
-    return CausalGrid(d, r_a, r_b, tuple(tuple(tuple(m) for m in row) for row in cells))
+    states = basis._rows.reshape(-1, *basis.dims)
+    anchor = max(cells[0][0], key=lambda k: abs(np.trace(states[k])))
+    u, _, vh = np.linalg.svd(states[anchor])
+    f0, e0 = u[:, :d], vh[:d].T
+    root_d = np.sqrt(d)
+    rows = np.stack([f0] + [root_d * states[row[0][0]] @ e0.conj() for row in cells[1:]])
+    cols = np.stack([e0] + [root_d * states[cell[0]].T @ f0.conj() for cell in cells[0][1:]])
+    # kron(F_alpha^dag, E_beta^dag) per cell, one matrix-vector product per state:
+    # a one-cell grid then gives the per-vector extraction's unitaries bit for bit
+    f_dag, e_dag = (t.conj().transpose(0, 2, 1) for t in (rows, cols))
+    frames = (f_dag[:, None, :, None, :, None]
+              * e_dag[None, :, None, :, None, :]).reshape(r_a, r_b, d * d, -1)
+    cell_of = ([by_a[k] for k in range(basis.size)], [by_b[k] for k in range(basis.size)])
+    unitaries = root_d * (frames[cell_of] @ basis._rows[..., None]).reshape(-1, d, d)
+    return CausalGrid(d, r_a, r_b, tuple(tuple(tuple(m) for m in row) for row in cells),
+                      rows, cols, unitaries)
 
 
 def basis_signaling_witness(basis: OrthogonalBasis, side: str,

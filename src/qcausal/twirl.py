@@ -134,26 +134,16 @@ def twirl_channel(group: ProjectiveUnitaryGroup, dims: BiDims) -> KrausChannel:
 def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel:
     """Dephasing into the cells of a causal grid, then one matched twirl of every cell.
 
-    F_0, E_0 are the Schmidt frames of the first state of cell (0, 0), and its
-    states M_g give the group V_g = sqrt(d) F_0^dag M_g conj(E_0). Row alpha
-    uses the A frame F_alpha that the first state of cell (alpha, 0) pairs with
-    E_0, column beta the B frame E_beta that the first state of cell (0, beta)
-    pairs with F_0. The Kraus operator (F_alpha V_g F_alpha^dag) (x)
-    (E_beta conj(V_g) E_beta^dag) / d has an A factor fixed by (g, alpha) and a
-    B factor fixed by (g, beta), so shared randomness and local operations
-    implement the channel. Whether it equals the basis measurement is for the
-    caller to decide by Choi equality.
+    The group is the unitaries V_g of cell (0, 0) in the grid's matched frames
+    F_alpha (rows) and E_beta (columns). The Kraus operator
+    (F_alpha V_g F_alpha^dag) (x) (E_beta conj(V_g) E_beta^dag) / d has an
+    A factor fixed by (g, alpha) and a B factor fixed by (g, beta), so shared
+    randomness and local operations implement the channel. Whether it equals
+    the basis measurement is for the caller to decide by Choi equality.
     """
-    na, nb = basis.dims
-    d = grid.d
-    states = [v.reshape(na, nb) for v in basis.vectors]
-    u, _, vh = np.linalg.svd(states[grid.cells[0][0][0]])
-    f0, e0 = u[:, :d], vh[:d].T
-    group = [np.sqrt(d) * dag(f0) @ states[idx] @ e0.conj() for idx in grid.cells[0][0]]
-    rows = [np.sqrt(d) * states[row[0][0]] @ e0.conj() for row in grid.cells]
-    cols = [np.sqrt(d) * states[cell[0]].T @ f0.conj() for cell in grid.cells[0]]
-    kraus = tuple(tensor_product(f @ v @ dag(f), e @ v.conj() @ dag(e)) / d
-                  for v in group for f in rows for e in cols)
+    group = grid.unitaries[list(grid.cells[0][0])]
+    kraus = tuple(tensor_product(f @ v @ dag(f), e @ v.conj() @ dag(e)) / grid.d
+                  for v in group for f in grid.rows for e in grid.cols)
     return KrausChannel(kraus, basis.dims)
 
 

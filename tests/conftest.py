@@ -63,6 +63,25 @@ def near_causal_basis():
     return OrthogonalBasis(tuple(u @ x for x in basis.vectors), basis.dims)
 
 
+def _twisted_cell_basis(n: int, d: int, twist: np.ndarray) -> OrthogonalBasis:
+    """The n x n causal grid with cell size d whose cell (1, 1) is turned by
+    ``twist`` on B's second block. It stays causal; unless the twist maps the
+    cell's group onto itself, eigenstate closure fails in that cell."""
+    basis = causal_grid_basis(BiDims(n, n), d)
+    turn = np.eye(n, dtype=complex)
+    turn[d:2 * d, d:2 * d] = twist
+    op = np.kron(np.eye(n), turn)
+    first = (n // d + 1) * d * d  # cell (1, 1) in causal_grid_basis order
+    vecs = [op @ v if first <= k < first + d * d else v for k, v in enumerate(basis.vectors)]
+    return OrthogonalBasis(tuple(vecs), basis.dims)
+
+
+@pytest.fixture(scope="session")
+def twisted_cell_basis():
+    """``twisted_cell_basis(n, d, twist) -> OrthogonalBasis``, a grid with one twisted cell."""
+    return _twisted_cell_basis
+
+
 def build_corpus(seed: int = 11) -> list[tuple[str, OrthogonalBasis]]:
     """Random plus structured complete bases with local dimensions in {2, 3, 4}.
 

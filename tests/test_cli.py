@@ -182,11 +182,18 @@ def test_classify_invariant_failure(tmp_path, capsys):
     assert main(["classify", str(path)]) == 3
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf", "x"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "-inf", "x", "2e-3", "0.1", "1"])
 def test_classify_tol_must_be_positive_and_finite(capsys, tol):
+    # above MAX_TOL = 1e-3 valid inputs would stop classifying, so it is a bad argument
     assert main(["classify", _fixture_path("bell_basis.json"), "--json", "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--tol" in captured.err
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_fixture_classifies_at_the_largest_tol(capsys, name):
+    assert main(["classify", _fixture_path(name), "--json", "--tol", "1e-3"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_near_causal_basis_follows_tol(tmp_path, capsys, near_causal_basis):
@@ -288,6 +295,10 @@ def test_build_round_trips(tmp_path, capsys):
         (["build", "twisted-basis", "--u", "hadamard"], "basis"),
         (["build", "stabilizer", "+XX", "+ZZ"], "channel"),
         (["build", "twirl", "--group", "tetrahedral"], "channel"),
+        (["build", "bell-basis"], "basis"),
+        (["build", "sorkin"], "channel"),
+        (["build", "conditional-basis"], "basis"),
+        (["build", "completion-basis"], "basis"),
     ]
     for argv, kind in cases:
         out_path = tmp_path / (argv[1] + ".json")

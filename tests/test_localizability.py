@@ -276,10 +276,14 @@ def _verdict_summary(basis: OrthogonalBasis) -> tuple:
 
 
 @pytest.fixture(scope="module")
-def verdict_cases(corpus):
+def verdict_cases(corpus, twisted_cell_basis):
     fixtures = [(name, load_document(str(resources.files("qcausal") / "fixtures" / name)))
                 for name in BASIS_FIXTURES]
-    return [(name, basis, _verdict_summary(basis)) for name, basis in corpus + fixtures]
+    # a multi-cell closure input beyond the 4x4 quadrants, with a certificate
+    twisted = twisted_cell_basis(6, 3, haar_unitary(3, np.random.default_rng(5)))
+    assert classify_basis(twisted).obstructions[0]["kind"] == "EigenstateClosure"
+    return [(name, basis, _verdict_summary(basis))
+            for name, basis in corpus + fixtures + [("twisted-cell-6x6-d3", twisted)]]
 
 
 @settings(max_examples=3, deadline=None)
