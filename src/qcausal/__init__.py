@@ -47,7 +47,6 @@ from .linalg import (
     trace_distance,
 )
 from .localizability import (
-    MEBasisUnitaries,
     ObstructionCertificate,
     eigenstate_closure_test,
     extract_unitaries,

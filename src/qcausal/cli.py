@@ -73,19 +73,11 @@ def _resolve_input(path: str) -> str:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        obj = load_document(_resolve_input(args.path))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if isinstance(obj, OrthogonalBasis):
-            report = classify_basis(obj, tol=args.tol)
-        else:
-            report = classify_channel(obj, tol=args.tol)
-    except ValueError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return 3
+    obj = load_document(_resolve_input(args.path))
+    if isinstance(obj, OrthogonalBasis):
+        report = classify_basis(obj, tol=args.tol)
+    else:
+        report = classify_channel(obj, tol=args.tol)
     doc = report.to_json()
     if args.json:
         print(json.dumps(doc))

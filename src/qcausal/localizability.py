@@ -34,7 +34,7 @@ from .linalg import (
     proj,
     tensor_product,
 )
-from .measurements import OrthogonalBasis, bell_states, causal_structure
+from .measurements import CausalGrid, OrthogonalBasis, bell_states
 
 EIGENSTATE_CLOSURE = "EigenstateClosure"
 PROJECTIVE_GROUP = "ProjectiveGroup"
@@ -49,19 +49,6 @@ class ObstructionCertificate:
     kind: str
     evidence: dict
     residual: float
-
-
-@dataclass(frozen=True)
-class MEBasisUnitaries:
-    """Unitaries defining a maximally entangled basis, one per basis state in
-    basis order, anchor-aligned so the anchor's element is the identity; they
-    satisfy tr(U_a^dag U_b) = d delta_ab."""
-
-    unitaries: tuple[np.ndarray, ...]
-
-    @property
-    def d(self) -> int:
-        return self.unitaries[0].shape[0]
 
 
 def is_eigenstate(ch: KrausChannel, psi: np.ndarray, tol: float = ATOL) -> bool:
@@ -174,26 +161,24 @@ def _block_embed(u: np.ndarray, block: int) -> np.ndarray:
     return out
 
 
-def extract_unitaries(basis: OrthogonalBasis, tol: float = ATOL) -> MEBasisUnitaries:
-    """Recover the defining unitaries of a maximally entangled d x d basis.
+def extract_unitaries(grid: CausalGrid) -> np.ndarray:
+    """The defining unitaries of a maximally entangled d x d basis.
 
     They are the cell unitaries of its one-cell causal grid
-    (:func:`causal_structure`), in basis order, the anchor's the identity.
+    (:func:`causal_structure`), a read-only (n, d, d) stack in basis order,
+    the anchor's the identity.
     """
-    d, nb = basis.dims
-    if d != nb:
-        raise ValueError("maximally entangled bases need equal local dimensions")
-    grid = causal_structure(basis, tol)
-    if grid.d != d:
-        raise ValueError(f"basis is not maximally entangled (cell dimension {grid.d})")
-    stack = grid.unitaries
+    if grid.r_a != 1 or grid.r_b != 1:
+        raise ValueError(f"basis is not maximally entangled ({grid.r_a} x {grid.r_b} "
+                         f"cells of dimension {grid.d})")
+    stack, d = grid.unitaries, grid.d
     unitary = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d),
                              axis=(1, 2)) < 1e-8 * d
     if not unitary.all():
         raise ValueError(f"extracted operator {int(np.argmin(unitary))} is not unitary")
     if frobenius(_gram(stack) - d * np.eye(d * d)) > 1e-7 * d * d:
         raise ValueError("extracted unitaries violate the trace-orthogonality condition")
-    return MEBasisUnitaries(tuple(stack))
+    return stack
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -201,7 +186,7 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     return np.einsum("iab,jab->ij", stack.conj(), stack)
 
 
-def projective_group_test(us: MEBasisUnitaries,
+def projective_group_test(stack: np.ndarray,
                           tol: float = ATOL) -> ObstructionCertificate | None:
     """Check closure of the basis unitaries under multiplication up to phase.
 
@@ -209,10 +194,10 @@ def projective_group_test(us: MEBasisUnitaries,
     every ordered pair (U, V) as one (n, n * n) table. Returns the first pair
     (in row-major index order) whose product matches no member; such a pair
     certifies that the basis measurement cannot be implemented without
-    communication. Requires trace-orthogonality and an identity member.
+    communication. ``stack`` is (n, d, d); requires trace-orthogonality and an
+    identity member.
     """
-    stack = np.stack(us.unitaries)
-    n, d = len(stack), us.d
+    n, d = len(stack), stack.shape[1]
     if frobenius(_gram(stack) - d * np.eye(n)) > 1e-7 * d * n:
         raise PreconditionError("unitaries violate the trace-orthogonality condition")
     if not np.any(np.abs(np.trace(stack, axis1=1, axis2=2)) > d - 1e-7):
@@ -223,10 +208,10 @@ def projective_group_test(us: MEBasisUnitaries,
     if failing.size == 0:
         return None
     i, j = divmod(int(failing[0]), n)
-    product = us.unitaries[i] @ us.unitaries[j]
+    product = stack[i] @ stack[j]
     # the reported residual repeats the per-pair traces, so it does not depend on
     # how the table above was summed
-    best_ij = max(abs(np.trace(dag(w) @ product)) for w in us.unitaries)
+    best_ij = max(abs(np.trace(dag(w) @ product)) for w in stack)
     return ObstructionCertificate(
         PROJECTIVE_GROUP,
         {"pair": (i, j), "product": product},
@@ -258,9 +243,9 @@ def mismatch_unitaries() -> list[np.ndarray]:
     return [u for row in rows for u in row]
 
 
-def closure_obstruction_search(basis: OrthogonalBasis,
+def closure_obstruction_search(basis: OrthogonalBasis, grid: CausalGrid,
                                tol: float = ATOL) -> ObstructionCertificate | None:
-    """Search a fully causal basis for an eigenstate-closure obstruction.
+    """Search a fully causal basis, with its grid, for an eigenstate-closure obstruction.
 
     Moving a state u of cell (0, 0) onto a state a of cell (alpha, 0) is a
     local unitary on A, and onto a state b of cell (0, beta) one on B, so
@@ -272,8 +257,7 @@ def closure_obstruction_search(basis: OrthogonalBasis,
     with its two local moves to :func:`eigenstate_closure_test`, which checks
     every premise on the measurement channel and returns the certificate.
     """
-    grid, ch = causal_structure(basis, tol), None
-    states, w = basis._rows.reshape(-1, *basis.dims), grid.unitaries
+    ch, states, w = None, basis._rows.reshape(-1, *basis.dims), grid.unitaries
     for alpha in range(1, grid.r_a):
         for beta in range(1, grid.r_b):
             src, dst_a, dst_b, cell = (list(grid.cells[r][c]) for r, c in

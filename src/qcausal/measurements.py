@@ -315,6 +315,8 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
               * e_dag[None, :, None, :, None, :]).reshape(r_a, r_b, d * d, -1)
     cell_of = ([by_a[k] for k in range(basis.size)], [by_b[k] for k in range(basis.size)])
     unitaries = root_d * (frames[cell_of] @ basis._rows[..., None]).reshape(-1, d, d)
+    for table in (rows, cols, unitaries):
+        table.flags.writeable = False  # every localizability step reads the same grid
     return CausalGrid(d, r_a, r_b, tuple(tuple(tuple(m) for m in row) for row in cells),
                       rows, cols, unitaries)
 

@@ -164,10 +164,10 @@ def _analyze_localizability(report: ClassificationReport, basis: OrthogonalBasis
                                  "(cell dephasing + matched twirl)")
         return
     if grid.r_a == grid.r_b == 1:
-        cert = loc.projective_group_test(loc.extract_unitaries(basis, tol), tol)
+        cert = loc.projective_group_test(loc.extract_unitaries(grid), tol)
         report.localizability = "no obstruction found (unitaries projectively closed)"
     else:
-        cert = loc.closure_obstruction_search(basis, tol)
+        cert = loc.closure_obstruction_search(basis, grid, tol)
         report.localizability = "no obstruction found"
     if cert is not None:
         report.obstructions.append(_serialize_certificate(cert))

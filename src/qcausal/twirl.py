@@ -65,7 +65,7 @@ class PauliString:
     @classmethod
     def parse(cls, text: str) -> "PauliString":
         text = text.strip()
-        if text[:1] in "+-":
+        if text.startswith(("+", "-")):
             return cls(text[1:], 1 if text[0] == "+" else -1)
         return cls(text)
 

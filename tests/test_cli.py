@@ -336,6 +336,8 @@ def test_build_stabilizer_equals_bundled_bell_channel(tmp_path, capsys):
 def test_build_invalid_args(tmp_path):
     assert main(["build", "stabilizer", "-o", str(tmp_path / "x.json")]) == 2
     assert main(["build", "stabilizer", "+XQ", "-o", str(tmp_path / "x.json")]) == 2
+    for blank in ("", " "):
+        assert main(["build", "stabilizer", blank, "-o", str(tmp_path / "x.json")]) == 2
 
 
 def test_bundled_fixtures_match_builders():

@@ -110,7 +110,7 @@ def test_obstructed_grids_match_the_loop(twisted_cell_basis, monkeypatch):
     for basis in _obstructed_cases(twisted_cell_basis, rng):
         expected = _reference_search(basis)
         calls.clear()
-        cert = closure_obstruction_search(basis)
+        cert = closure_obstruction_search(basis, causal_structure(basis))
         assert expected is not None and cert is not None and len(calls) == 1
         assert cert.kind == expected.kind and cert.residual == expected.residual
         for key in ("psi", "a", "b", "joint_state"):
@@ -121,19 +121,20 @@ def test_obstructed_grids_match_the_loop(twisted_cell_basis, monkeypatch):
 def test_untwisted_6x6_grids_match_the_loop(d):
     basis = causal_grid_basis(BiDims(6, 6), d)
     assert _reference_search(basis) is None
-    assert closure_obstruction_search(basis) is None
+    assert closure_obstruction_search(basis, causal_structure(basis)) is None
 
 
 @pytest.mark.parametrize("d", [2, 4])
 def test_untwisted_8x8_grids_certify_nothing(d):
     # the loop would run d**6 channel tests per cell pair here; the grid twirl
     # reproduces these measurements exactly, so no certificate can exist
-    assert closure_obstruction_search(causal_grid_basis(BiDims(8, 8), d)) is None
+    basis = causal_grid_basis(BiDims(8, 8), d)
+    assert closure_obstruction_search(basis, causal_structure(basis)) is None
 
 
 def test_full_8x8_scan_is_fast():
     # every one of the d**6 = 4,096 triples of the one scored cell pair is scored
     basis = causal_grid_basis(BiDims(8, 8), 4, np.random.default_rng(3))
     start = time.perf_counter()
-    assert closure_obstruction_search(basis) is None
+    assert closure_obstruction_search(basis, causal_structure(basis)) is None
     assert time.perf_counter() - start < 2.0

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from qcausal.linalg import ATOL, dag, frobenius, is_unitary, max_entangled, tensor_product
 from qcausal.localizability import (
-    MEBasisUnitaries,
     PreconditionError,
     extract_unitaries,
     generalized_pauli,
@@ -24,7 +23,7 @@ from qcausal.localizability import (
     mismatch_unitaries,
     projective_group_test,
 )
-from qcausal.measurements import OrthogonalBasis, bell_basis
+from qcausal.measurements import OrthogonalBasis, bell_basis, causal_structure
 from qcausal.report import classify_basis
 
 
@@ -48,12 +47,12 @@ def _reference_extract(basis, tol=ATOL):
     gram = np.array([[np.trace(dag(u1) @ u2) for u2 in unitaries] for u1 in unitaries])
     if frobenius(gram - d * np.eye(d * d)) > 1e-7 * d * d:
         raise ValueError("extracted unitaries violate the trace-orthogonality condition")
-    return MEBasisUnitaries(tuple(unitaries))
+    return np.stack(unitaries)
 
 
-def _reference_projective(us, tol=ATOL):
+def _reference_projective(stack, tol=ATOL):
     """Returns None or (pair, residual)."""
-    unitaries, d = us.unitaries, us.d
+    unitaries, d = list(stack), stack.shape[1]
     gram = np.array([[np.trace(dag(u1) @ u2) for u2 in unitaries] for u1 in unitaries])
     if frobenius(gram - d * np.eye(len(unitaries))) > 1e-7 * d * len(unitaries):
         raise PreconditionError("unitaries violate the trace-orthogonality condition")
@@ -93,23 +92,23 @@ def _phased_unitaries(d, rng, twist):
             for a in range(d) for b in range(d)]
 
 
-def _assert_same_verdict(us):
-    expected = _reference_projective(us)
-    cert = projective_group_test(us)
+def _assert_same_verdict(stack):
+    expected = _reference_projective(stack)
+    cert = projective_group_test(stack)
     if expected is None:
         assert cert is None
         return
     pair, residual = expected
     assert cert is not None and cert.evidence["pair"] == pair
     assert abs(cert.residual - residual) <= 1e-12
-    assert np.array_equal(cert.evidence["product"], us.unitaries[pair[0]] @ us.unitaries[pair[1]])
+    assert np.array_equal(cert.evidence["product"], stack[pair[0]] @ stack[pair[1]])
 
 
 def _assert_same_extraction(basis):
     expected = _reference_extract(basis)
-    got = extract_unitaries(basis)
-    assert len(got.unitaries) == len(expected.unitaries)
-    for u, v in zip(got.unitaries, expected.unitaries):
+    got = extract_unitaries(causal_structure(basis))
+    assert len(got) == len(expected)
+    for u, v in zip(got, expected):
         assert np.array_equal(u, v)
     return got
 
@@ -124,7 +123,7 @@ def test_named_me_bases_match_the_loops(make_basis):
 
 
 def test_mismatch_certificate_is_found():
-    cert = projective_group_test(extract_unitaries(mismatch_basis()))
+    cert = projective_group_test(extract_unitaries(causal_structure(mismatch_basis())))
     assert cert is not None and cert.residual > 1e-6
 
 
@@ -135,13 +134,13 @@ def test_certificate_pair_indexes_a_reordered_basis():
     basis = mismatch_basis()
     order = [15] + list(range(15))
     reordered = OrthogonalBasis(tuple(basis.vectors[k] for k in order), basis.dims)
-    us = extract_unitaries(reordered)
-    assert np.allclose(us.unitaries[1], np.eye(4))
+    us = extract_unitaries(causal_structure(reordered))
+    assert np.allclose(us[1], np.eye(4))
     cert = projective_group_test(us)
     assert cert is not None and cert.evidence["pair"] == (0, 2)
     i, j = cert.evidence["pair"]
-    product = us.unitaries[i] @ us.unitaries[j]
-    assert max(abs(np.trace(dag(w) @ product)) for w in us.unitaries) < 4 - 1e-6
+    product = us[i] @ us[j]
+    assert max(abs(np.trace(dag(w) @ product)) for w in us) < 4 - 1e-6
     assert classify_basis(reordered).obstructions[0]["pair"] == [i, j]
 
 
@@ -151,7 +150,7 @@ def test_random_phase_me_bases_match_the_loops(seed, d, twist):
     rng = np.random.default_rng(seed)
     unitaries = _phased_unitaries(d, rng, twist)
     unitaries = [unitaries[k] for k in rng.permutation(len(unitaries))]
-    _assert_same_verdict(MEBasisUnitaries(tuple(unitaries)))
+    _assert_same_verdict(np.stack(unitaries))
     basis = me_basis_from_unitaries(unitaries)
     _assert_same_verdict(_assert_same_extraction(basis))
 
@@ -164,12 +163,12 @@ def test_reordered_mismatch_unitaries_match_the_loops(seed):
     rng = np.random.default_rng(seed)
     unitaries = mismatch_unitaries()
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=len(unitaries)))
-    _assert_same_verdict(MEBasisUnitaries(tuple(
-        phases[k] * unitaries[k] for k in rng.permutation(len(unitaries)))))
+    _assert_same_verdict(np.stack(
+        [phases[k] * unitaries[k] for k in rng.permutation(len(unitaries))]))
 
 
 def test_missing_identity_raises_like_the_loops():
-    shifted = MEBasisUnitaries(tuple(_pauli_products(2)[2:]))
+    shifted = np.stack(_pauli_products(2)[2:])
     for check in (projective_group_test, _reference_projective):
         with pytest.raises(PreconditionError, match="identity"):
             check(shifted)

@@ -291,8 +291,8 @@ def _grid_twirl_distance(basis) -> float:
 def _obstruction_of_its_shape(basis):
     grid = causal_structure(basis)
     if grid.r_a == grid.r_b == 1:
-        return projective_group_test(extract_unitaries(basis))
-    return closure_obstruction_search(basis)
+        return projective_group_test(extract_unitaries(grid))
+    return closure_obstruction_search(basis, grid)
 
 
 def test_grid_twirl_reproduces_localizable_grids(corpus, rng):
