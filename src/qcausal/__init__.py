@@ -61,7 +61,6 @@ from .measurements import (
     BasisWitness,
     CausalGrid,
     OrthogonalBasis,
-    PartitionStructure,
     basis_signaling_witness,
     bell_basis,
     causal_structure,
@@ -84,7 +83,6 @@ from .protocols import (
 from .report import ClassificationReport, classify_basis, classify_channel
 from .twirl import (
     PauliString,
-    ProjectiveUnitaryGroup,
     bell_twirl,
     close_group,
     grid_twirl_channel,

@@ -1,7 +1,8 @@
 """Channel-level causality decisions.
 
 Both deciders read one tensor: the channel's Choi state traced over the
-sender's output, contracted straight from the stacked Kraus operators. The
+sender's output, contracted from the Choi vectors that ``channels.choi``
+builds (one reshuffle of the stacked Kraus operators), never the full state. The
 semicausality test is exact: a channel blocks signaling from B to A iff that
 marginal factorizes as (operator on A's input and output) (x) (identity on
 B's input). The witness scan is exact too: the receiver's output is linear in
@@ -30,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel
+from .channels import KrausChannel, _choi_vectors
 from .linalg import ATOL, BiDims, frobenius, is_unitary, operator_schmidt, trace_distance
 
 B_TO_A = "BtoA"
@@ -62,11 +63,11 @@ def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
     with A's indices first inside each Kraus operator.
     """
     na, nb = ch.dims
-    t = ch.stacked().reshape(-1, na, nb, na, nb)  # (k, out A, out B, in A, in B)
+    t = _choi_vectors(ch).reshape(-1, na, na, nb, nb)  # (k, in A, out A, out B, in B)
     if direction == B_TO_A:
-        x = t.transpose(0, 2, 3, 4, 1)  # (k, out B, in A, in B, out A)
+        x = t.transpose(0, 3, 1, 4, 2)  # (k, out B, in A, in B, out A)
     elif direction == A_TO_B:
-        x = t.transpose(0, 1, 4, 3, 2)  # (k, out A, in B, in A, out B)
+        x = t.transpose(0, 2, 4, 1, 3)  # (k, out A, in B, in A, out B)
     else:
         raise ValueError(f"direction must be {B_TO_A!r} or {A_TO_B!r}, got {direction!r}")
     shape = x.shape[2:]

@@ -28,13 +28,12 @@ from .linalg import (
     dag,
     frobenius,
     is_unitary,
-    max_entangled,
     min_singular_value,
     normalize,
     proj,
     tensor_product,
 )
-from .measurements import CausalGrid, OrthogonalBasis, bell_states
+from .measurements import _BELL_UNITARIES, CausalGrid, OrthogonalBasis, _blocks, cell_states
 
 EIGENSTATE_CLOSURE = "EigenstateClosure"
 PROJECTIVE_GROUP = "ProjectiveGroup"
@@ -112,16 +111,15 @@ def generalized_pauli(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def me_basis_from_unitaries(unitaries: Sequence[np.ndarray]) -> OrthogonalBasis:
-    """The maximally entangled basis {(U_a (x) I) |Phi+>} on d x d."""
-    d = as_matrix(unitaries[0]).shape[0]
-    phi = max_entangled(d, normalized=True)
-    eye = np.eye(d, dtype=complex)
-    vecs = tuple(tensor_product(as_matrix(u), eye) @ phi for u in unitaries)
-    return OrthogonalBasis(vecs, BiDims(d, d))
+    """The maximally entangled basis {(U_a (x) I) |Phi+>} on d x d: one cell
+    with identity frames."""
+    stack = np.stack([as_matrix(u) for u in unitaries])
+    eye = np.eye(stack.shape[-1])
+    return OrthogonalBasis(tuple(cell_states(eye, stack, eye)), BiDims(*eye.shape))
 
 
 def twisted_partition_basis(u_b: np.ndarray) -> OrthogonalBasis:
-    """The 4x4 quadrant basis: Bell states in each 2x2 quadrant, with the
+    """The 4x4 quadrant basis: a Bell cell in each 2x2 quadrant, with the
     lower-right quadrant's states rotated by (I (x) u_b) inside B's second block.
 
     For u_b a Pauli (up to phase) the rotated quadrant is the plain Bell set
@@ -131,34 +129,11 @@ def twisted_partition_basis(u_b: np.ndarray) -> OrthogonalBasis:
     u_b = as_matrix(u_b)
     if u_b.shape != (2, 2) or not is_unitary(u_b):
         raise ValueError("u_b must be a 2x2 unitary")
-    dims = BiDims(4, 4)
-    vecs: list[np.ndarray] = []
-    for row in (0, 2):
-        for col in (0, 2):
-            quadrant = [_embed_pair_state(s, row, col) for s in bell_states()]
-            if (row, col) == (2, 2):
-                rot = tensor_product(np.eye(4, dtype=complex),
-                                     _block_embed(u_b, 1))
-                quadrant = [rot @ v for v in quadrant]
-            vecs.extend(quadrant)
-    return OrthogonalBasis(tuple(vecs), dims)
-
-
-def _embed_pair_state(state: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Embed a two-qubit state into the (row, col) quadrant of the 4x4 space."""
-    v = np.zeros(16, dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            v[(row + i) * 4 + (col + j)] = state[i * 2 + j]
-    return v
-
-
-def _block_embed(u: np.ndarray, block: int) -> np.ndarray:
-    """Embed a 2x2 operator into block 0 (indices 0,1) or 1 (indices 2,3) of C^4."""
-    out = np.eye(4, dtype=complex)
-    lo = 2 * block
-    out[lo:lo + 2, lo:lo + 2] = u
-    return out
+    # (I (x) u_b) vec(M) = vec(M u_b^T), so the twist right-multiplies the cell unitaries
+    cells = np.stack([_BELL_UNITARIES] * 3 + [_BELL_UNITARIES @ u_b.T]).reshape(2, 2, 4, 2, 2)
+    quadrants = _blocks(4, 2)
+    states = cell_states(quadrants[:, None, None], cells, quadrants[None, :, None])
+    return OrthogonalBasis(tuple(states.reshape(16, 16)), BiDims(4, 4))
 
 
 def extract_unitaries(grid: CausalGrid) -> np.ndarray:

@@ -17,6 +17,7 @@ construction is out of scope here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ from .causality import SEARCH_THRESHOLD
 from .channels import KrausChannel
 from .linalg import (
     ATOL,
+    I2,
+    PAULI_X,
+    PAULI_Z,
     SUPPORT_CUTOFF,
     BiDims,
     _all_finite,
@@ -88,12 +92,6 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class PartitionStructure:
-    side: str
-    subspaces: tuple[Subspace, ...]
-
-
-@dataclass(frozen=True)
 class CausalGrid:
     """The cells of a causal basis, with matched frames: state k of cell
     (alpha, beta), as an (A, B) matrix, is ``rows[alpha] @ unitaries[k] @
@@ -106,6 +104,17 @@ class CausalGrid:
     rows: np.ndarray = field(compare=False, repr=False)  # (r_a, dim_a, d)
     cols: np.ndarray = field(compare=False, repr=False)  # (r_b, dim_b, d)
     unitaries: np.ndarray = field(compare=False, repr=False)  # (n, d, d), basis order
+
+
+def cell_states(rows: np.ndarray, unitaries: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The states ``rows @ unitaries[k] @ cols.T / sqrt(d)`` of a cell, the
+    :class:`CausalGrid` formula, one flattened (A, B) vector per unitary.
+
+    ``rows`` is (dim_a, d), ``unitaries`` (k, d, d) and ``cols`` (dim_b, d);
+    leading axes broadcast, so one call builds the states of many cells.
+    """
+    states = rows @ unitaries @ np.swapaxes(cols, -1, -2) / np.sqrt(unitaries.shape[-1])
+    return states.reshape(*states.shape[:-2], -1)
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,7 @@ def _support_projector(sigma: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tup
 
 
 def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
-                         tol: float = ATOL) -> PartitionStructure:
+                         tol: float = ATOL) -> tuple[Subspace, ...]:
     """Partition ``side`` into subspaces, grouping basis states by reduced-state support.
 
     Requires the pairwise test to pass on ``side``. Verifies that each group's
@@ -265,7 +274,7 @@ def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
     total = sum(s.projector for s in subspaces)
     if not mat_close(total, np.eye(n_side), bar):
         raise ValueError("subspace projectors do not resolve the identity")
-    return PartitionStructure(side, tuple(subspaces))
+    return tuple(subspaces)
 
 
 def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
@@ -285,15 +294,15 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     """
     part_a = semicausal_structure(basis, "A", tol)
     part_b = semicausal_structure(basis, "B", tol)
-    cell_dims = {s.dim for s in part_a.subspaces} | {s.dim for s in part_b.subspaces}
+    cell_dims = {s.dim for s in part_a} | {s.dim for s in part_b}
     if len(cell_dims) != 1:
         raise ValueError(f"inconsistent cell dimensions {sorted(cell_dims)}")
     d = cell_dims.pop()
-    r_a, r_b = len(part_a.subspaces), len(part_b.subspaces)
+    r_a, r_b = len(part_a), len(part_b)
     if r_a * d != basis.dims.dim_a or r_b * d != basis.dims.dim_b:
         raise ValueError("cell dimension does not divide the local dimensions")
-    by_a = {idx: alpha for alpha, s in enumerate(part_a.subspaces) for idx in s.member_indices}
-    by_b = {idx: beta for beta, s in enumerate(part_b.subspaces) for idx in s.member_indices}
+    by_a = {idx: alpha for alpha, s in enumerate(part_a) for idx in s.member_indices}
+    by_b = {idx: beta for beta, s in enumerate(part_b) for idx in s.member_indices}
     cells = [[[] for _ in range(r_b)] for _ in range(r_a)]
     for idx in range(basis.size):
         cells[by_a[idx]][by_b[idx]].append(idx)
@@ -370,15 +379,14 @@ def _receiver_output(bras: np.ndarray, sigmas: np.ndarray, w: np.ndarray) -> np.
 # Structured basis constructions
 # ---------------------------------------------------------------------------
 
+# The Bell cell's unitaries: Z flips the phase, X the parity.
+_BELL_UNITARIES = np.stack([I2, PAULI_Z, PAULI_X, PAULI_Z @ PAULI_X])
+_BELL_UNITARIES.flags.writeable = False
+
+
 def bell_states() -> list[np.ndarray]:
     """The two-qubit Bell basis ordered [phi+, phi-, psi+, psi-]."""
-    s = 1 / np.sqrt(2)
-    return [
-        np.array([s, 0, 0, s], dtype=complex),
-        np.array([s, 0, 0, -s], dtype=complex),
-        np.array([0, s, s, 0], dtype=complex),
-        np.array([0, s, -s, 0], dtype=complex),
-    ]
+    return list(cell_states(I2, _BELL_UNITARIES, I2))
 
 
 def bell_basis() -> OrthogonalBasis:
@@ -386,9 +394,8 @@ def bell_basis() -> OrthogonalBasis:
 
 
 def product_basis(dims: BiDims) -> OrthogonalBasis:
-    """Computational product basis |i>_A (x) |j>_B."""
-    eye = np.eye(dims.total, dtype=complex)
-    return OrthogonalBasis(tuple(eye[:, k] for k in range(dims.total)), dims)
+    """Computational product basis |i>_A (x) |j>_B: the grid of one-dimensional cells."""
+    return causal_grid_basis(dims, 1)
 
 
 def conditional_basis() -> OrthogonalBasis:
@@ -437,31 +444,47 @@ def rotate_basis(basis: OrthogonalBasis, u_a: np.ndarray, u_b: np.ndarray) -> Or
     return OrthogonalBasis(tuple(full @ v for v in basis.vectors), basis.dims)
 
 
+@functools.cache
+def _phase_unitaries(d: int) -> np.ndarray:
+    """The d**2 shift-and-phase unitaries W[i, (i + s) % d] = exp(2 pi i m i / d),
+    as a read-only (d * d, d, d) stack in (s, m) order; the first d have no shift."""
+    # one scalar np.exp per phase: the vectorised np.exp differs in the last bits
+    # (1.5e-15 at d = 6), as would powers of generalized_pauli, and the generated
+    # bases are inputs whose bytes must not move
+    phases = np.array([[np.exp(2j * np.pi * m * i / d) for i in range(d)] for m in range(d)])
+    i = np.arange(d)
+    unitaries = np.zeros((d, d, d, d), dtype=complex)
+    for s in range(d):
+        unitaries[s][:, i, (i + s) % d] = phases
+    unitaries.flags.writeable = False
+    return unitaries.reshape(d * d, d, d)
+
+
+def _blocks(n: int, d: int) -> np.ndarray:
+    """The n // d consecutive d-dimensional coordinate blocks of C^n, as (n, d) isometries."""
+    return np.eye(n).reshape(n, n // d, d).transpose(1, 0, 2)
+
+
 def semicausal_partition_basis(dims: BiDims, part_dims: tuple[int, ...],
                                rng: np.random.Generator | None = None) -> OrthogonalBasis:
     """A basis passing the pairwise criterion on side A with prescribed subspace dims.
 
-    For each subspace of dimension d, the d * dim_b member states are
-    shift-and-phase maximally entangled states of the subspace with B.
+    A subspace of dimension d is a block of A's coordinates. For each shift s
+    it meets B through the isometry onto B's coordinates (s + i) % dim_b,
+    i < d, and that cell holds the d phase states: d * dim_b states in all.
     Optionally conjugated by a random product unitary.
     """
     if sum(part_dims) != dims.dim_a:
         raise ValueError("subspace dimensions must sum to dim_a")
     if any(d < 1 or d > dims.dim_b for d in part_dims):
         raise ValueError("each subspace dimension must lie in [1, dim_b]")
-    nb = dims.dim_b
-    vecs = []
-    offset = 0
-    for d in part_dims:
-        for s in range(nb):
-            for m in range(d):
-                v = np.zeros(dims.total, dtype=complex)
-                for i in range(d):
-                    amp = np.exp(2j * np.pi * m * i / d) / np.sqrt(d)
-                    v[(offset + i) * nb + (s + i) % nb] = amp
-                vecs.append(v)
-        offset += d
-    basis = OrthogonalBasis(tuple(vecs), dims)
+    eye_a, nb = np.eye(dims.dim_a), dims.dim_b
+    # column i of shift s is |(s + i) % dim_b>: (shift, dim_b, dim_b)
+    cols = np.eye(nb)[:, (np.arange(nb)[:, None] + np.arange(nb)) % nb].transpose(1, 0, 2)
+    offsets = np.cumsum((0,) + part_dims)
+    states = [cell_states(eye_a[:, o:o + d], _phase_unitaries(d)[:d], cols[:, None, :, :d])
+              for o, d in zip(offsets, part_dims)]
+    basis = OrthogonalBasis(tuple(np.concatenate(states, axis=None).reshape(-1, dims.total)), dims)
     if rng is not None:
         basis = rotate_basis(basis, haar_unitary(dims.dim_a, rng), haar_unitary(dims.dim_b, rng))
     return basis
@@ -472,22 +495,15 @@ def causal_grid_basis(dims: BiDims, d: int,
     """A fully causal basis with r_a x r_b cells of dimension d.
 
     Each cell holds the d**2 shift-and-phase maximally entangled states of
-    one A-subspace with one B-subspace.
+    one block of A's coordinates with one block of B's.
     """
+    if d < 1:
+        raise ValueError("cell dimension must be at least 1")
     if dims.dim_a % d or dims.dim_b % d:
         raise ValueError("cell dimension must divide both local dimensions")
-    nb = dims.dim_b
-    vecs = []
-    for alpha in range(dims.dim_a // d):
-        for beta in range(dims.dim_b // d):
-            for shift in range(d):
-                for m in range(d):
-                    v = np.zeros(dims.total, dtype=complex)
-                    for i in range(d):
-                        amp = np.exp(2j * np.pi * m * i / d) / np.sqrt(d)
-                        v[(alpha * d + i) * nb + beta * d + (i + shift) % d] = amp
-                    vecs.append(v)
-    basis = OrthogonalBasis(tuple(vecs), dims)
+    states = cell_states(_blocks(dims.dim_a, d)[:, None, None], _phase_unitaries(d),
+                         _blocks(dims.dim_b, d)[None, :, None])
+    basis = OrthogonalBasis(tuple(states.reshape(-1, dims.total)), dims)
     if rng is not None:
         basis = rotate_basis(basis, haar_unitary(dims.dim_a, rng), haar_unitary(dims.dim_b, rng))
     return basis

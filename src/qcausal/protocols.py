@@ -28,7 +28,7 @@ from .linalg import (
     is_unitary,
     tensor_product,
 )
-from .measurements import OrthogonalBasis, PartitionStructure, bell_states, semicausal_structure
+from .measurements import OrthogonalBasis, Subspace, bell_states, semicausal_structure
 
 
 def branch_weights(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -48,23 +48,14 @@ def sample_branch(ch: KrausChannel, rho: np.ndarray, rng: np.random.Generator) -
 # One-way measurement protocol for bases passing the pairwise criterion
 # ---------------------------------------------------------------------------
 
-def _stock_pair(basis: OrthogonalBasis, structure: PartitionStructure, alpha: int) -> np.ndarray:
-    """The pair ``sum_i |f_i>|i> / sqrt(d)`` over the eigenbasis ``f`` of subspace
-    ``alpha``, as an (A', P) matrix."""
-    eigvals, eigvecs = np.linalg.eigh(structure.subspaces[alpha].projector)
+def _stock_pair(subspace: Subspace, dims: BiDims) -> np.ndarray:
+    """The pair ``sum_i |f_i>|i> / sqrt(d)`` over the eigenbasis ``f`` of the
+    subspace, as an (A', P) matrix."""
+    eigvals, eigvecs = np.linalg.eigh(subspace.projector)
     frame = eigvecs[:, eigvals > 0.5]
-    pair = np.zeros(basis.dims, dtype=complex)
+    pair = np.zeros(dims, dtype=complex)
     pair[:, :frame.shape[1]] = frame / np.sqrt(frame.shape[1])
     return pair
-
-
-def _replacement_rotation(pair: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """B-side unitary turning the stock pair into a basis state, both as (A, B) matrices.
-
-    The two have the same reduced state on A, so a unitary on the pair's
-    second factor maps one onto the other: the alignment unitary on that index.
-    """
-    return alignment_unitary(pair.T, state.T)
 
 
 def semilocal_channel(basis: OrthogonalBasis) -> KrausChannel:
@@ -78,15 +69,17 @@ def semilocal_channel(basis: OrthogonalBasis) -> KrausChannel:
     ``K_a = (I_A' (x) G_a)(F_alpha (x) I_B)``; Alice's factor acts on A alone
     and depends only on alpha, so only A-to-B communication is used.
     """
-    structure = semicausal_structure(basis, "A")
+    subspaces = semicausal_structure(basis, "A")
     na, nb = basis.dims
-    alpha_of = {idx: k for k, s in enumerate(structure.subspaces) for idx in s.member_indices}
-    pairs = [_stock_pair(basis, structure, k) for k in range(len(structure.subspaces))]
+    alpha_of = {idx: k for k, s in enumerate(subspaces) for idx in s.member_indices}
+    pairs = [_stock_pair(s, basis.dims) for s in subspaces]
     outcomes = range(basis.size)
     phi = np.stack([pairs[alpha_of[a]] for a in outcomes])  # (k, A', P)
-    p = np.stack([structure.subspaces[alpha_of[a]].projector for a in outcomes])  # (k, R, A)
+    p = np.stack([subspaces[alpha_of[a]].projector for a in outcomes])  # (k, R, A)
     states = np.stack(basis.vectors).reshape(-1, na, nb)
-    v = np.stack([_replacement_rotation(phi[a], states[a]) for a in outcomes])  # (k, B', P)
+    # the stock pair and basis state a, as (A, B) matrices, have the same reduced
+    # state on A, so the alignment unitary on the second index turns one into the other
+    v = np.stack([alignment_unitary(phi[a].T, states[a].T) for a in outcomes])  # (k, B', P)
     bra = states.conj()  # (k, R, B)
     k = np.einsum("kxp,kra,kyp,krb->kxyab", phi, p, v, bra, optimize=True)
     return KrausChannel(tuple(k.reshape(basis.size, na * nb, na * nb)), basis.dims)

@@ -24,7 +24,6 @@ from .linalg import (
     PAULIS,
     BiDims,
     as_matrix,
-    dag,
     fix_phase,
     frobenius,
     is_unitary,
@@ -32,21 +31,6 @@ from .linalg import (
     tensor_product,
 )
 from .measurements import CausalGrid, OrthogonalBasis
-
-
-@dataclass(frozen=True)
-class ProjectiveUnitaryGroup:
-    """A finite group of unitaries, one canonical representative per phase class."""
-
-    elements: tuple[np.ndarray, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -92,10 +76,12 @@ def _canonical(u: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def close_group(generators: Sequence[np.ndarray], max_order: int = 256) -> ProjectiveUnitaryGroup:
+def close_group(generators: Sequence[np.ndarray], max_order: int = 256) -> np.ndarray:
     """Breadth-first closure of the generators under products, modulo phase.
 
-    Raises if a generator is not unitary or the closure exceeds ``max_order``.
+    Returns one phase-fixed representative per class as a read-only
+    (order, n, n) stack, the identity first. Raises if a generator is not
+    unitary or the closure exceeds ``max_order``.
     """
     gens = []
     for g in generators:
@@ -120,15 +106,17 @@ def close_group(generators: Sequence[np.ndarray], max_order: int = 256) -> Proje
                     if len(elements) > max_order:
                         raise ValueError(f"group order exceeds max_order={max_order}")
         frontier = new_frontier
-    return ProjectiveUnitaryGroup(tuple(elements))
+    group = np.stack(elements)
+    group.flags.writeable = False
+    return group
 
 
-def twirl_channel(group: ProjectiveUnitaryGroup, dims: BiDims) -> KrausChannel:
-    """The group-average channel rho -> (1/|G|) sum_g U(g) rho U(g)^dag."""
-    if group.dim != dims.total:
-        raise ValueError(f"group dimension {group.dim} != {dims.total}")
-    scale = 1 / np.sqrt(group.order)
-    return KrausChannel(tuple(scale * u for u in group.elements), dims)
+def twirl_channel(group: np.ndarray, dims: BiDims) -> KrausChannel:
+    """The group-average channel rho -> (1/|G|) sum_g U(g) rho U(g)^dag over an
+    (order, n, n) stack of unitaries."""
+    if group.shape[-1] != dims.total:
+        raise ValueError(f"group dimension {group.shape[-1]} != {dims.total}")
+    return KrausChannel(tuple(group * (1 / np.sqrt(len(group)))), dims)
 
 
 def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel:
@@ -141,10 +129,14 @@ def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel
     randomness and local operations implement the channel. Whether it equals
     the basis measurement is for the caller to decide by Choi equality.
     """
-    group = grid.unitaries[list(grid.cells[0][0])]
-    kraus = tuple(tensor_product(f @ v @ dag(f), e @ v.conj() @ dag(e)) / grid.d
-                  for v in group for f in grid.rows for e in grid.cols)
-    return KrausChannel(kraus, basis.dims)
+    group = grid.unitaries[list(grid.cells[0][0])][:, None]  # (g, 1, d, d)
+    f, e = grid.rows, grid.cols
+    a = f @ group @ f.conj().transpose(0, 2, 1)  # (g, alpha, A, A)
+    b = e @ group.conj() @ e.conj().transpose(0, 2, 1)  # (g, beta, B, B)
+    # kron(a[g, alpha], b[g, beta]) for every (g, alpha, beta) as one outer product,
+    # element for element the products np.kron takes
+    kraus = a[:, :, None, :, None, :, None] * b[:, None, :, None, :, None, :] / grid.d
+    return KrausChannel(tuple(kraus.reshape(-1, basis.dims.total, basis.dims.total)), basis.dims)
 
 
 def stabilizer_channel(generators: Sequence[PauliString],
@@ -200,7 +192,7 @@ def stabilizer_twirl(generators: Sequence[PauliString],
     return twirl_channel(group, dims)
 
 
-def tetrahedral_group() -> ProjectiveUnitaryGroup:
+def tetrahedral_group() -> np.ndarray:
     """The 12-element rotation group of the tetrahedron, lifted to single-qubit unitaries.
 
     Generated by a half-turn about z and the axis-cycling composition of two
@@ -210,8 +202,8 @@ def tetrahedral_group() -> ProjectiveUnitaryGroup:
     half_turn_z = _rotation(PAULI_Z, np.pi)
     axis_cycle = _rotation(PAULI_Z, np.pi / 2) @ _rotation(PAULI_X, np.pi / 2)
     group = close_group([half_turn_z, axis_cycle], max_order=24)
-    if group.order != 12:
-        raise RuntimeError(f"tetrahedral closure produced order {group.order}")
+    if len(group) != 12:
+        raise RuntimeError(f"tetrahedral closure produced order {len(group)}")
     return group
 
 
@@ -219,7 +211,7 @@ def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * axis
 
 
-def pauli_twirl_group() -> ProjectiveUnitaryGroup:
+def pauli_twirl_group() -> np.ndarray:
     """The two-qubit group {I(x)I, X(x)X, Y(x)Y, Z(x)Z} modulo phase."""
     return close_group([tensor_product(PAULI_X, PAULI_X), tensor_product(PAULI_Z, PAULI_Z)],
                        max_order=4)
@@ -236,7 +228,6 @@ def werner_twirl() -> KrausChannel:
     Any input is driven to the Werner form: the singlet weight is preserved and
     the three triplet Bell weights are equalized.
     """
-    single = tetrahedral_group()
-    elements = tuple(tensor_product(u, u) for u in single.elements)
-    return twirl_channel(ProjectiveUnitaryGroup(elements), BiDims(2, 2))
+    return twirl_channel(np.stack([tensor_product(u, u) for u in tetrahedral_group()]),
+                         BiDims(2, 2))
 

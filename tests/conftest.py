@@ -134,3 +134,9 @@ def build_corpus(seed: int = 11) -> list[tuple[str, OrthogonalBasis]]:
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def corpus_of_seed():
+    """``corpus_of_seed(seed) -> list[(label, OrthogonalBasis)]``, the corpus at another seed."""
+    return build_corpus

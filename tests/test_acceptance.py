@@ -218,8 +218,8 @@ def test_criterion_6_structure_extraction():
     rng = np.random.default_rng(606)
     semi = semicausal_partition_basis(BiDims(6, 6), (3, 2, 1), rng)
     structure = semicausal_structure(semi, "A")
-    dims = sorted((s.dim for s in structure.subspaces), reverse=True)
-    counts = sorted((len(s.member_indices) for s in structure.subspaces), reverse=True)
+    dims = sorted((s.dim for s in structure), reverse=True)
+    counts = sorted((len(s.member_indices) for s in structure), reverse=True)
     assert dims == [3, 2, 1]
     assert counts == [18, 12, 6]
 

@@ -71,22 +71,22 @@ def test_pairwise_test_completion_fails_side_a():
 
 def test_structure_product_basis():
     st = semicausal_structure(product_basis(D22), "A")
-    assert [s.dim for s in st.subspaces] == [1, 1]
-    assert sorted(len(s.member_indices) for s in st.subspaces) == [2, 2]
+    assert [s.dim for s in st] == [1, 1]
+    assert sorted(len(s.member_indices) for s in st) == [2, 2]
 
 
 def test_structure_bell_basis():
     st = semicausal_structure(bell_basis(), "A")
-    assert len(st.subspaces) == 1
-    assert st.subspaces[0].dim == 2
-    assert len(st.subspaces[0].member_indices) == 4
+    assert len(st) == 1
+    assert st[0].dim == 2
+    assert len(st[0].member_indices) == 4
 
 
 def test_structure_6x6_partition(rng):
     basis = semicausal_partition_basis(BiDims(6, 6), (3, 2, 1), rng)
     st = semicausal_structure(basis, "A")
-    dims = sorted((s.dim for s in st.subspaces), reverse=True)
-    counts = sorted((len(s.member_indices) for s in st.subspaces), reverse=True)
+    dims = sorted((s.dim for s in st), reverse=True)
+    counts = sorted((len(s.member_indices) for s in st), reverse=True)
     assert dims == [3, 2, 1]
     assert counts == [18, 12, 6]
 
@@ -96,7 +96,7 @@ def test_structure_members_maximally_entangled(rng):
     st = semicausal_structure(basis, "A")
     from qcausal.linalg import schmidt_coefficients
 
-    for s in st.subspaces:
+    for s in st:
         for idx in s.member_indices:
             coeffs = schmidt_coefficients(basis.vectors[idx], basis.dims)
             nonzero = coeffs[coeffs > 1e-9]

@@ -99,7 +99,7 @@ def test_semilocal_branches_are_one_way(rng):
     for name, basis in _semicausal_fixture_bases(rng):
         protocol = semilocal_channel(basis)
         ks = protocol.stacked()
-        for sub in semicausal_structure(basis, "A").subspaces:
+        for sub in semicausal_structure(basis, "A"):
             members = ks[list(sub.member_indices)]
             effect = np.einsum("kji,kjl->il", members.conj(), members)
             target = tensor_product(sub.projector, np.eye(basis.dims.dim_b))

@@ -32,11 +32,16 @@ from qcausal.localizability import (
     projective_group_test,
     twisted_partition_basis,
 )
-from qcausal.measurements import bell_basis, bell_states, causal_structure, rotate_basis
+from qcausal.measurements import (
+    bell_basis,
+    bell_states,
+    causal_grid_basis,
+    causal_structure,
+    rotate_basis,
+)
 from qcausal.report import classify_basis
 from qcausal.twirl import (
     PauliString,
-    ProjectiveUnitaryGroup,
     bell_twirl,
     close_group,
     grid_twirl_channel,
@@ -69,10 +74,18 @@ def test_pauli_string_commutation():
 
 def test_close_group_small_cases():
     g = close_group([PAULI_X])
-    assert g.order == 2
+    assert len(g) == 2
     g = close_group([tensor_product(PAULI_X, PAULI_X), tensor_product(PAULI_Z, PAULI_Z)])
-    assert g.order == 4
-    assert tetrahedral_group().order == 12
+    assert len(g) == 4
+    assert len(tetrahedral_group()) == 12
+
+
+def test_groups_are_read_only_stacks_identity_first():
+    for group, order, n in ((close_group([PAULI_X]), 2, 2), (pauli_twirl_group(), 4, 4),
+                            (tetrahedral_group(), 12, 2)):
+        assert group.shape == (order, n, n)
+        assert not group.flags.writeable
+        assert np.allclose(group[0], np.eye(n))
 
 
 def test_close_group_rejects_nonunitary():
@@ -102,10 +115,10 @@ def test_tetrahedral_twirl_on_00(rng):
     group = tetrahedral_group()
     rho = proj([1, 0, 0, 0])
     acc = np.zeros((4, 4), dtype=complex)
-    for u in group.elements:
+    for u in group:
         w = tensor_product(u, u)
         acc += w @ rho @ w.conj().T
-    acc /= group.order
+    acc /= len(group)
     out = apply(werner_twirl(), rho)
     assert np.linalg.norm(out - acc) < 1e-12
     # the singlet weight of |00> is zero, so the output is the even triplet mixture
@@ -261,7 +274,7 @@ def twirl_structure_check(group, ch, tol=1e-9):
             unit[:] = 0
             unit[i, j] = 1.0
             out = apply(ch, unit)
-            for u in group.elements:
+            for u in group:
                 worst = max(worst, np.linalg.norm(out @ u - u @ out))
     gap = choi_distance(choi(compose(ch, ch)), choi(ch))
     assert worst < tol * dim and gap < tol * dim, (worst, gap)
@@ -271,8 +284,7 @@ def test_structure_check_on_twirls():
     for group, dims in ((pauli_twirl_group(), D22),):
         twirl_structure_check(group, twirl_channel(group, dims))
     wt = werner_twirl()
-    tetra_two_qubit = ProjectiveUnitaryGroup(
-        tuple(tensor_product(u, u) for u in tetrahedral_group().elements))
+    tetra_two_qubit = np.stack([tensor_product(u, u) for u in tetrahedral_group()])
     twirl_structure_check(tetra_two_qubit, wt)
     trivial = close_group([np.eye(4, dtype=complex)])
     twirl_structure_check(trivial, twirl_channel(trivial, D22))
@@ -313,6 +325,22 @@ def test_grid_twirl_kraus_operators_are_products(rng):
     for k in candidate.kraus:
         assert len(operator_schmidt(k, basis.dims)) == 1
     assert validate(candidate).tp
+
+
+def test_grid_twirl_matches_per_element_products(rng):
+    """The batched Kraus stack equals the products built one (g, alpha, beta) at a time."""
+    bases = [rotate_basis(twisted_partition_basis(PAULI_X), haar_unitary(4, rng),
+                          haar_unitary(4, rng)),
+             causal_grid_basis(BiDims(6, 6), 3, rng), causal_grid_basis(BiDims(4, 6), 1, rng),
+             mismatch_basis()]
+    for basis in bases:
+        grid = causal_structure(basis)
+        group = grid.unitaries[list(grid.cells[0][0])]
+        expected = [tensor_product(f @ v @ f.conj().T, e @ v.conj() @ e.conj().T) / grid.d
+                    for v in group for f in grid.rows for e in grid.cols]
+        got = grid_twirl_channel(basis, grid).stacked()
+        assert got.shape == (len(expected),) + expected[0].shape
+        assert np.abs(got - np.stack(expected)).max() < 1e-15
 
 
 def test_grid_twirl_rejects_obstructed_bases():
