@@ -62,8 +62,7 @@ def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
     ``t[r, s, o, r', s', o'] = sum_k,x K_k[(o, x), (r, s)] conj(K_k[(o', x), (r', s')])``
     with A's indices first inside each Kraus operator.
     """
-    na, nb = ch.dims
-    t = _choi_vectors(ch).reshape(-1, na, na, nb, nb)  # (k, in A, out A, out B, in B)
+    t = _choi_vectors(ch)  # (k, in A, out A, out B, in B), a view
     if direction == B_TO_A:
         x = t.transpose(0, 3, 1, 4, 2)  # (k, out B, in A, in B, out A)
     elif direction == A_TO_B:

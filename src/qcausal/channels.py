@@ -16,22 +16,29 @@ from .linalg import ATOL, BiDims, _all_finite, as_matrix, dag, frobenius
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A quantum operation ``rho -> sum_k M_k rho M_k^dag`` on a bipartite space."""
+    """A quantum operation ``rho -> sum_k M_k rho M_k^dag`` on a bipartite space.
+
+    ``kraus`` is a sequence of operators or one (k, n, n) array; either way it
+    is copied once into a read-only stack, and ``kraus`` holds views of it.
+    """
 
     kraus: tuple[np.ndarray, ...]
     dims: BiDims
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.kraus:
+        if not len(self.kraus):
             raise ValueError("channel needs at least one Kraus operator")
-        mats = [np.asarray(k, dtype=complex) for k in self.kraus]
         n = self.dims.total
         self.dims.check(n)  # rejects non-positive local dimensions
-        for k in mats:
-            if k.shape != (n, n):
-                raise ValueError(f"Kraus operator shape {k.shape} != ({n}, {n})")
-        stack = np.stack(mats)
+        if isinstance(self.kraus, np.ndarray) and self.kraus.shape[1:] == (n, n):
+            stack = self.kraus.astype(complex)  # a stack, as decoded or built: one copy
+        else:
+            mats = [np.asarray(k, dtype=complex) for k in self.kraus]
+            for k in mats:
+                if k.shape != (n, n):
+                    raise ValueError(f"Kraus operator shape {k.shape} != ({n}, {n})")
+            stack = np.stack(mats)
         if not _all_finite(stack):
             raise ValueError("matrix has non-finite entries")
         stack.flags.writeable = False
@@ -68,7 +75,8 @@ class ChoiState:
 
 def validate(ch: KrausChannel, tol: float = ATOL) -> TPReport:
     """Check the trace-preservation condition ``sum_k M_k^dag M_k == I``."""
-    acc = sum(dag(k) @ k for k in ch.kraus)
+    ks = ch.stacked()
+    acc = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
     deviation = frobenius(acc - np.eye(ch.dim))
     return TPReport(bool(deviation < tol), float(deviation))
 
@@ -114,18 +122,19 @@ def identity_channel(dims: BiDims) -> KrausChannel:
 
 
 def _choi_vectors(ch: KrausChannel) -> np.ndarray:
-    """One row per Kraus operator: (I_R (x) K (x) I_S) applied to the probes.
+    """Per Kraus operator, (I_R (x) K (x) I_S) applied to the probes, as a
+    (k, R, A, B, S) view of the Kraus stack: K's entries reordered, no copy.
 
-    That vector is K's entries reordered to (R, A, B, S), a reshuffle of K.
+    Each caller reshapes it once, so each reads the one reshuffle at the cost
+    of one copy.
     """
     na, nb = ch.dims
-    v = ch.stacked().reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
-    return v.reshape(len(ch.kraus), -1)
+    return ch.stacked().reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
 
 
 def choi(ch: KrausChannel) -> ChoiState:
     """Choi state from unnormalized entangled probes on both factors."""
-    v = _choi_vectors(ch)
+    v = _choi_vectors(ch).reshape(len(ch.kraus), -1)
     return ChoiState(v.T @ v.conj(), ch.dims)
 
 
@@ -144,7 +153,7 @@ def channel_distance(e1: KrausChannel, e2: KrausChannel) -> float:
     """
     if e1.dims != e2.dims:
         raise ValueError("channels have different dims")
-    w = np.concatenate([_choi_vectors(e1), _choi_vectors(e2)])
+    w = np.concatenate([_choi_vectors(e1), _choi_vectors(e2)]).reshape(-1, e1.dim ** 2)
     r = np.linalg.qr(w.T, mode="r")
     signs = np.repeat([1.0, -1.0], [len(e1.kraus), len(e2.kraus)])
     return frobenius((r * signs) @ dag(r))
@@ -156,6 +165,6 @@ def measurement_channel(basis) -> KrausChannel:
     Kraus operators are the rank-1 projectors onto the basis states;
     the channel decoheres any input in that basis.
     """
-    kraus = tuple(np.outer(v, v.conj()) for v in basis.vectors)
-    return KrausChannel(kraus, basis.dims)
+    rows = basis._rows
+    return KrausChannel(rows[:, :, None] * rows.conj()[:, None, :], basis.dims)
 

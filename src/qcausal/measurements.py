@@ -34,7 +34,6 @@ from .linalg import (
     _all_finite,
     alignment_unitary,
     as_vector,
-    dag,
     frobenius,
     haar_unitary,
     mat_close,
@@ -48,10 +47,10 @@ from .linalg import (
 class OrthogonalBasis:
     """An ordered orthonormal basis of a bipartite space.
 
-    The vectors are copied once into a read-only (n, n) array whose row k is
-    vector k; ``vectors`` holds views of its rows. Tables derived from them
-    (reduced states, pair norms, Schmidt coefficients) are computed on first
-    use and kept with the instance.
+    The vectors, a sequence or one (n, n) array whose row k is vector k, are
+    copied once into a read-only (n, n) array; ``vectors`` holds views of its
+    rows. Tables derived from them (reduced states, pair norms, Schmidt
+    coefficients) are computed on first use and kept with the instance.
     """
 
     vectors: tuple[np.ndarray, ...]
@@ -60,15 +59,18 @@ class OrthogonalBasis:
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vecs = [as_vector(v, check_finite=False) for v in self.vectors]
         n = self.dims.total
         self.dims.check(n)  # rejects non-positive local dimensions
-        if len(vecs) != n:
-            raise ValueError(f"basis has {len(vecs)} vectors, expected {n}")
-        for v in vecs:
-            if v.shape != (n,):
-                raise ValueError(f"basis vector length {v.shape[0]} != {n}")
-        rows = np.stack(vecs)
+        if isinstance(self.vectors, np.ndarray) and self.vectors.shape == (n, n):
+            rows = self.vectors.astype(complex)  # a stack, as decoded: one copy
+        else:
+            vecs = [as_vector(v, check_finite=False) for v in self.vectors]
+            if len(vecs) != n:
+                raise ValueError(f"basis has {len(vecs)} vectors, expected {n}")
+            for v in vecs:
+                if v.shape != (n,):
+                    raise ValueError(f"basis vector length {v.shape[0]} != {n}")
+            rows = np.stack(vecs)
         if not _all_finite(rows):
             raise ValueError("vector has non-finite entries")
         rows.flags.writeable = False
@@ -151,11 +153,31 @@ def _other(side: str) -> str:
 class _PairTables:
     """One side's reduced states and the Frobenius norms of their pairwise
     differences ``diff[a, b] = ||s_a - s_b||`` and products
-    ``prod[a, b] = ||s_a s_b||``. No tolerance enters: callers compare."""
+    ``prod[a, b] = ||s_a s_b||``. No tolerance enters the tables; the side's
+    pairwise verdict at a bar is decided once and kept in ``verdicts``."""
 
     sigmas: np.ndarray
     diff: np.ndarray
     prod: np.ndarray
+    verdicts: dict = field(default_factory=dict, compare=False)
+
+    def verdict(self, bar: float) -> BasisVerdict:
+        found = self.verdicts.get(bar)
+        if found is None:
+            found = self.verdicts[bar] = _pairwise_verdict(self, bar)
+        return found
+
+
+def _pairwise_verdict(t: _PairTables, bar: float) -> BasisVerdict:
+    """Every pair identical or orthogonal within ``bar``, else the first pair
+    in row-major order that is neither."""
+    n = len(t.diff)
+    above = np.arange(n)[:, None] < np.arange(n)
+    violating = (~((t.diff < bar) | (t.prod < bar)) & above).reshape(-1)
+    first = int(violating.argmax())
+    if violating[first]:
+        return BasisVerdict(False, divmod(first, n))
+    return BasisVerdict(True)
 
 
 def _pair_tables(basis: OrthogonalBasis, side: str) -> _PairTables:
@@ -198,15 +220,17 @@ def semicausal_basis_test(basis: OrthogonalBasis, side: str, tol: float = ATOL) 
 
     Passing on side A means the measurement lets no signal reach A (the other
     party cannot signal); the first violating pair (in row-major order) is
-    reported otherwise.
+    reported otherwise. Decided once per side and tolerance, then kept.
     """
-    t = _pair_tables(basis, side)
-    bar = _bar(basis, tol)
-    violating = np.argwhere(np.triu(~((t.diff < bar) | (t.prod < bar)), 1))
-    if len(violating):
-        a, b = violating[0]
-        return BasisVerdict(False, (int(a), int(b)))
-    return BasisVerdict(True)
+    return _pair_tables(basis, side).verdict(_bar(basis, tol))
+
+
+def _labels(groups, size: int) -> np.ndarray:
+    """The index of the group holding each of ``size`` indices."""
+    labels = np.empty(size, dtype=int)
+    for k, members in enumerate(groups):
+        labels[list(members)] = k
+    return labels
 
 
 def _group_by_equality(close: list[list[bool]]) -> list[list[int]]:
@@ -231,11 +255,20 @@ def _schmidt_coefficients(basis: OrthogonalBasis) -> np.ndarray:
     return coeffs
 
 
-def _support_projector(sigma: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> tuple[np.ndarray, int]:
-    w, v = np.linalg.eigh((sigma + dag(sigma)) / 2)
-    keep = w > cutoff
-    vecs = v[:, keep]
-    return vecs @ dag(vecs), int(keep.sum())
+def _support_projectors(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each state's support projector and its rank, from one batched eigh.
+
+    The kept eigenvectors, those above SUPPORT_CUTOFF, are the last columns,
+    so the states of one rank share one batched product.
+    """
+    w, v = np.linalg.eigh((sigmas + sigmas.conj().transpose(0, 2, 1)) / 2)
+    dims = (w > SUPPORT_CUTOFF).sum(axis=1)
+    projectors = np.empty_like(sigmas)
+    for dim in set(dims.tolist()):
+        same = np.flatnonzero(dims == dim)
+        vecs = v[same, :, v.shape[-1] - dim:]
+        projectors[same] = vecs @ vecs.conj().transpose(0, 2, 1)
+    return projectors, dims
 
 
 def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
@@ -245,36 +278,41 @@ def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
     Requires the pairwise test to pass on ``side``. Verifies that each group's
     reduced state is the normalized subspace projector, that the group holds
     (other dim) * (subspace dim) members, and that every member is maximally
-    entangled between the subspace and the other factor.
+    entangled between the subspace and the other factor. Each check runs over
+    all groups at once; the first group that fails one is reported.
     """
-    verdict = semicausal_basis_test(basis, side, tol)
+    t = _pair_tables(basis, side)
+    bar = _bar(basis, tol)
+    verdict = t.verdict(bar)
     if not verdict.semicausal:
         raise ValueError(f"basis fails the pairwise criterion on side {side} "
                          f"at pair {verdict.violating_pair}")
     n_side = basis.dims.dim_a if side == "A" else basis.dims.dim_b
     n_other = basis.dims.total // n_side
-    t = _pair_tables(basis, side)
-    bar = _bar(basis, tol)
-    coeffs = _schmidt_coefficients(basis)
-    subspaces = []
-    for g in _group_by_equality((t.diff < bar).tolist()):
-        sigma = t.sigmas[g[0]]
-        p, dim = _support_projector(sigma)
-        if not mat_close(sigma, p / dim, bar):
+    groups = _group_by_equality((t.diff < bar).tolist())
+    leaders = t.sigmas[[g[0] for g in groups]]
+    projectors, dims = _support_projectors(leaders)
+    residuals = np.linalg.norm(leaders - projectors / dims[:, None, None], axis=(1, 2))
+    # every member's Schmidt coefficients against 1/sqrt(dim) on its group's dim
+    group_of = _labels(groups, basis.size)
+    member_dims = dims[group_of, None]
+    expected = np.where(np.arange(min(basis.dims)) < member_dims, 1 / np.sqrt(member_dims), 0.0)
+    skewed = np.any(np.abs(_schmidt_coefficients(basis) - expected) > bar, axis=1)
+    failed = (~(residuals < bar) | (np.bincount(group_of) != n_other * dims)
+              | (np.bincount(group_of, skewed, len(groups)) > 0))
+    if failed.any():
+        k = int(failed.argmax())
+        g, dim = groups[k], int(dims[k])
+        if not residuals[k] < bar:
             raise ValueError("reduced state is not a normalized subspace projector")
         if len(g) != n_other * dim:
             raise ValueError(f"subspace of dimension {dim} holds {len(g)} states, "
                              f"expected {n_other * dim}")
-        expected = np.where(np.arange(min(basis.dims)) < dim, 1 / np.sqrt(dim), 0.0)
-        off = np.nonzero(np.any(np.abs(coeffs[g] - expected) > bar, axis=1))[0]
-        if len(off):
-            raise ValueError(f"basis state {g[off[0]]} is not maximally entangled "
-                             f"over its {dim}-dimensional subspace")
-        subspaces.append(Subspace(p, dim, tuple(g)))
-    total = sum(s.projector for s in subspaces)
-    if not mat_close(total, np.eye(n_side), bar):
+        raise ValueError(f"basis state {g[int(skewed[g].argmax())]} is not maximally entangled "
+                         f"over its {dim}-dimensional subspace")
+    if not mat_close(projectors.sum(axis=0), np.eye(n_side), bar):
         raise ValueError("subspace projectors do not resolve the identity")
-    return tuple(subspaces)
+    return tuple(Subspace(p, int(dim), tuple(g)) for p, dim, g in zip(projectors, dims, groups))
 
 
 def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
@@ -301,32 +339,32 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     r_a, r_b = len(part_a), len(part_b)
     if r_a * d != basis.dims.dim_a or r_b * d != basis.dims.dim_b:
         raise ValueError("cell dimension does not divide the local dimensions")
-    by_a = {idx: alpha for alpha, s in enumerate(part_a) for idx in s.member_indices}
-    by_b = {idx: beta for beta, s in enumerate(part_b) for idx in s.member_indices}
-    cells = [[[] for _ in range(r_b)] for _ in range(r_a)]
-    for idx in range(basis.size):
-        cells[by_a[idx]][by_b[idx]].append(idx)
-    for row in cells:
-        for members in row:
-            if len(members) != d * d:
-                raise ValueError(f"cell holds {len(members)} states, expected {d * d}")
+    label_a, label_b = (_labels([s.member_indices for s in part], basis.size)
+                        for part in (part_a, part_b))
+    cell_of = label_a * r_b + label_b
+    counts = np.bincount(cell_of, minlength=r_a * r_b)
+    if (counts != d * d).any():
+        raise ValueError(f"cell holds {counts[(counts != d * d).argmax()]} states, "
+                         f"expected {d * d}")
+    cells = np.argsort(cell_of, kind="stable").reshape(r_a, r_b, d * d)  # members ascending
     states = basis._rows.reshape(-1, *basis.dims)
-    anchor = max(cells[0][0], key=lambda k: abs(np.trace(states[k])))
+    first = cells[0, 0]
+    anchor = first[np.abs(np.trace(states[first], axis1=1, axis2=2)).argmax()]
     u, _, vh = np.linalg.svd(states[anchor])
     f0, e0 = u[:, :d], vh[:d].T
     root_d = np.sqrt(d)
-    rows = np.stack([f0] + [root_d * states[row[0][0]] @ e0.conj() for row in cells[1:]])
-    cols = np.stack([e0] + [root_d * states[cell[0]].T @ f0.conj() for cell in cells[0][1:]])
+    rows = np.concatenate([f0[None], root_d * states[cells[1:, 0, 0]] @ e0.conj()])
+    cols = np.concatenate([e0[None],
+                           root_d * states[cells[0, 1:, 0]].transpose(0, 2, 1) @ f0.conj()])
     # kron(F_alpha^dag, E_beta^dag) per cell, one matrix-vector product per state:
     # a one-cell grid then gives the per-vector extraction's unitaries bit for bit
     f_dag, e_dag = (t.conj().transpose(0, 2, 1) for t in (rows, cols))
     frames = (f_dag[:, None, :, None, :, None]
               * e_dag[None, :, None, :, None, :]).reshape(r_a, r_b, d * d, -1)
-    cell_of = ([by_a[k] for k in range(basis.size)], [by_b[k] for k in range(basis.size)])
-    unitaries = root_d * (frames[cell_of] @ basis._rows[..., None]).reshape(-1, d, d)
+    unitaries = root_d * (frames[label_a, label_b] @ basis._rows[..., None]).reshape(-1, d, d)
     for table in (rows, cols, unitaries):
         table.flags.writeable = False  # every localizability step reads the same grid
-    return CausalGrid(d, r_a, r_b, tuple(tuple(tuple(m) for m in row) for row in cells),
+    return CausalGrid(d, r_a, r_b, tuple(tuple(map(tuple, row)) for row in cells.tolist()),
                       rows, cols, unitaries)
 
 
@@ -344,11 +382,10 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
     outputs by more than SEARCH_THRESHOLD, as for a basis within a hair of a
     causal one.
     """
-    verdict = semicausal_basis_test(basis, side, tol)
-    if verdict.semicausal:
-        raise ValueError(f"basis passes the pairwise criterion on side {side}; no witness exists")
     t = _pair_tables(basis, side)
     bar = _bar(basis, tol)
+    if t.verdict(bar).semicausal:
+        raise ValueError(f"basis passes the pairwise criterion on side {side}; no witness exists")
     steerable = (t.prod > bar) & ~(t.diff < bar)  # overlapping and distinct
     candidates = [int(b) for b in np.nonzero(steerable.any(axis=1))[0]]
     candidates.sort(key=lambda b: (-frobenius(t.sigmas[b]), b))

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import BiDims, as_matrix
+from .linalg import BiDims, _all_finite, as_matrix
 
 
 class ParseError(ValueError):
@@ -40,7 +40,8 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     }
 
 
-def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
+def _header(doc: dict[str, Any]) -> tuple[int, int, list]:
+    """A matrix object's ``rows``, ``cols`` and ``data``, checked but not decoded."""
     try:
         rows, cols, data = _integer(doc, "rows"), _integer(doc, "cols"), doc["data"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -49,13 +50,46 @@ def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
         raise ParseError(f"matrix data must be a list, got {type(data).__name__}")
     if rows < 1 or cols < 1 or len(data) != rows * cols:
         raise ParseError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
+    return rows, cols, data
+
+
+def _matrices_from_json(docs: list, column: bool = False) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Decode matrix objects: one (k, rows, cols) array when they share a shape,
+    else a tuple of k matrices. ``column`` requires single-column matrices and
+    drops their column axis.
+
+    Each object's header is checked in Python; then every ``data`` list is
+    decoded by one ``np.array`` call and one finiteness check. When several
+    objects fail to decode together, they are decoded one at a time, so the
+    message names the first object's first fault, as for a single object.
+    """
+    if not docs:
+        return ()
     try:
-        pairs = _real_pairs(np.array(data))
+        headers = [_header(doc) for doc in docs]
+        pairs = _real_pairs(np.array([pair for _, _, data in headers for pair in data]))
+        if not _all_finite(pairs):
+            raise ParseError("matrix has non-finite entries")
+        wide = [(rows, cols) for rows, cols, _ in headers if column and cols != 1]
+        if wide:
+            raise ParseError(f"expected a column vector, got shape {wide[0]}")
     except (ValueError, OverflowError) as exc:
+        if len(docs) > 1:
+            for doc in docs:
+                _matrices_from_json([doc], column)  # the first faulty object raises
+        if isinstance(exc, ParseError):
+            raise
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    if not np.isfinite(pairs).all():
-        raise ParseError("matrix has non-finite entries")
-    return pairs.view(complex).reshape(rows, cols)
+    entries = pairs.view(complex).reshape(-1)
+    shapes = [(rows,) if column else (rows, cols) for rows, cols, _ in headers]
+    if len(set(shapes)) == 1:
+        return entries.reshape(len(docs), *shapes[0])
+    ends = np.cumsum([rows * cols for rows, cols, _ in headers])[:-1]
+    return tuple(m.reshape(shape) for m, shape in zip(np.split(entries, ends), shapes))
+
+
+def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
+    return _matrices_from_json([doc])[0]
 
 
 def _real_pairs(arr: np.ndarray) -> np.ndarray:
@@ -73,13 +107,6 @@ def _real_pairs(arr: np.ndarray) -> np.ndarray:
     if not numbers:
         raise ValueError(f"entries must be numbers, got {arr.dtype.name} values")
     return arr.astype(float)
-
-
-def vector_from_json(doc: dict[str, Any]) -> np.ndarray:
-    mat = matrix_from_json(doc)
-    if mat.shape[1] != 1:
-        raise ParseError(f"expected a column vector, got shape {mat.shape}")
-    return mat.reshape(-1)
 
 
 def channel_to_json(ch) -> dict[str, Any]:
@@ -102,9 +129,9 @@ def channel_from_json(doc: dict[str, Any]):
         raise ParseError(f"'kraus' must be a list, got {type(kraus_docs).__name__}")
     if not kraus_docs:
         raise ParseError("channel needs at least one Kraus operator")
-    kraus = [matrix_from_json(k) for k in kraus_docs]
+    kraus = _matrices_from_json(kraus_docs)
     try:
-        return KrausChannel(tuple(kraus), dims)
+        return KrausChannel(kraus, dims)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -127,9 +154,9 @@ def basis_from_json(doc: dict[str, Any]):
         raise ParseError(f"malformed basis object: {exc}") from exc
     if not isinstance(vec_docs, list):
         raise ParseError(f"'vectors' must be a list, got {type(vec_docs).__name__}")
-    vectors = [vector_from_json(v) for v in vec_docs]
+    vectors = _matrices_from_json(vec_docs, column=True)
     try:
-        return OrthogonalBasis(tuple(vectors), dims)
+        return OrthogonalBasis(vectors, dims)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -292,6 +292,29 @@ def test_choi_marginal_matches_choi_of_map_oracle(rng, choi_of_map):
         assert np.abs(_marginal(ch, A_TO_B) - np.einsum("rabsRaBS->srbSRB", full)).max() < 1e-12
 
 
+def _two_copy_marginal(ch, direction):
+    """The marginal as built from the flattened Choi vectors, reshaped to five
+    indices again: the same index permutation, through one more copy."""
+    na, nb = ch.dims
+    v = ch.stacked().reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
+    t = v.reshape(len(ch.kraus), -1).reshape(-1, na, na, nb, nb)
+    x = t.transpose(0, 3, 1, 4, 2) if direction == B_TO_A else t.transpose(0, 2, 4, 1, 3)
+    shape = x.shape[2:]
+    x = x.reshape(x.shape[0] * x.shape[1], -1)
+    return (x.T @ x.conj()).reshape(shape + shape)
+
+
+def test_choi_marginal_keeps_its_bits(rng):
+    # the witness scan breaks ties on the marginal, so it must not move
+    channels = [_random_kraus(dims, k, rng) for dims in (D22, BiDims(2, 3), BiDims(3, 4))
+                for k in (1, 3)]
+    channels += [and_box_channel(), bell_twirl(), incomplete_bell_channel(),
+                 measurement_channel(mismatch_basis())]
+    for ch in channels:
+        for direction in (B_TO_A, A_TO_B):
+            assert np.array_equal(_marginal(ch, direction), _two_copy_marginal(ch, direction))
+
+
 def _one_way_channel(dims, blocked, rng):
     """The sender of the blocked direction measures; the other side applies
     a unitary picked by the outcome, so only that other side's input signals."""

@@ -12,7 +12,7 @@ from qcausal.channels import (
     measurement_channel,
     validate,
 )
-from qcausal.linalg import BiDims, proj, random_density_matrix
+from qcausal.linalg import BiDims, frobenius, proj, random_density_matrix
 from qcausal.measurements import bell_basis, bell_states, conditional_basis, incomplete_bell_channel
 from qcausal.twirl import bell_twirl
 
@@ -200,3 +200,46 @@ def test_measurement_channel_rejects_incomplete_basis():
     vecs = tuple(np.eye(4, dtype=complex)[:, k] for k in range(3))
     with pytest.raises(ValueError):
         OrthogonalBasis(vecs, D22)
+
+
+def _outer_measurement_channel(basis) -> KrausChannel:
+    """The measurement channel from one np.outer per basis vector."""
+    return KrausChannel(tuple(np.outer(v, v.conj()) for v in basis.vectors), basis.dims)
+
+
+def _summed_deviation(ch: KrausChannel) -> float:
+    """The trace-preservation deviation from a Python sum of K^dag K."""
+    acc = sum(k.conj().T @ k for k in ch.kraus)
+    return frobenius(acc - np.eye(ch.dim))
+
+
+def _oracle_channels(bases):
+    from qcausal.games import and_box_channel
+    from qcausal.twirl import PauliString, stabilizer_channel, werner_twirl
+
+    stabilizer = stabilizer_channel([PauliString.parse(g) for g in ("+XXX", "+ZZI")])
+    return ([measurement_channel(b) for _, b in bases]
+            + [_outer_measurement_channel(b) for _, b in bases]
+            + [incomplete_bell_channel(), and_box_channel(), bell_twirl(), werner_twirl(),
+               stabilizer, identity_channel(BiDims(3, 2))])
+
+
+def test_measurement_channel_matches_per_vector_outer_products(corpus, corpus_of_seed):
+    for name, basis in corpus + corpus_of_seed(1):
+        got, want = measurement_channel(basis).stacked(), _outer_measurement_channel(basis).stacked()
+        assert np.array_equal(got, want), name
+
+
+def test_validate_matches_python_sum(corpus, corpus_of_seed):
+    for ch in _oracle_channels(corpus + corpus_of_seed(1)):
+        assert validate(ch).deviation == _summed_deviation(ch)
+
+
+def test_channel_takes_a_stack_as_one_copy():
+    stack = np.stack([np.eye(4, dtype=complex) / np.sqrt(2)] * 2)
+    ch = KrausChannel(stack, D22)
+    assert ch.stacked() is not stack and np.array_equal(ch.stacked(), stack)
+    assert stack.flags.writeable and not ch.stacked().flags.writeable
+    assert all(k.base is ch.stacked() for k in ch.kraus)
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 3\) != \(4, 4\)"):
+        KrausChannel(np.zeros((2, 3, 3), dtype=complex), D22)

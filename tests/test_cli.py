@@ -141,6 +141,67 @@ def test_classify_malformed_document_exit_2(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_E0, _E1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+_PAIRS = "error: matrix entries must be [re, im] pairs: "
+_RAGGED = (_PAIRS + "setting an array element with a sequence. The requested array has an "
+           "inhomogeneous shape after 1 dimensions. The detected shape was (2,) + "
+           "inhomogeneous part.\n")
+
+
+def _vec(data, rows=None, cols=1) -> dict:
+    return {"rows": len(data) if rows is None else rows, "cols": cols, "data": data}
+
+
+def _two_vector_basis(first, second=None) -> str:
+    """A 1 x 2 basis document whose vectors are ``first`` and (by default) |1>."""
+    return json.dumps({"dimA": 1, "dimB": 2, "vectors": [first, second or _vec(_E1)]})
+
+
+@pytest.mark.parametrize("text, code, stderr", [
+    (_two_vector_basis(_vec([[1.0, 0.0], [0.0]])), 2, _RAGGED),
+    (_two_vector_basis(_vec([["1", 0.0], [0.0, 0.0]])), 2,
+     _PAIRS + "entries must be numbers, got str1024 values\n"),
+    (_two_vector_basis(_vec([[None, 0.0], [0.0, 0.0]])), 2,
+     _PAIRS + "entries must be numbers, got object values\n"),
+    (_two_vector_basis(_vec(_E0)).replace("1.0", str(10**400), 1), 2,
+     _PAIRS + "int too large to convert to float\n"),
+    # beyond numpy's integers but within a float's range: read as 1e30
+    (_two_vector_basis(_vec(_E0)).replace("1.0", str(10**30), 1), 2,
+     "error: basis is not orthonormal (Gram deviation 1.00e+60)\n"),
+    (_two_vector_basis(_vec([[True, False], [False, False]]),
+                       _vec([[False, False], [True, False]])), 0, ""),
+    (_two_vector_basis({"rows": 1, "cols": 2, "data": _E0}), 2,
+     "error: expected a column vector, got shape (1, 2)\n"),
+    (_two_vector_basis({"rows": 2, "cols": 1, "data": {"re": 1}}), 2,
+     "error: matrix data must be a list, got dict\n"),
+    (_two_vector_basis(5), 2,
+     "error: malformed matrix object: 'int' object is not subscriptable\n"),
+    (_two_vector_basis(_vec(_E0), _vec(_E1 + [[0.0, 0.0]])), 2,
+     "error: basis vector length 3 != 2\n"),
+    (_two_vector_basis(_vec([[float("nan"), 0.0], [0.0, 0.0]])), 2,
+     "error: matrix has non-finite entries\n"),
+    (json.dumps({"dimA": 1, "dimB": 2, "kraus": [
+        _vec([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], rows=2, cols=2),
+        _vec([[0.0, 0.0]])]}), 2,
+     "error: Kraus operator shape (1, 1) != (2, 2)\n"),
+    # with several faults, the first matrix's first fault is the one reported
+    (_two_vector_basis(_vec([[float("nan"), 0.0], [0.0, 0.0]]),
+                       {"rows": 2, "cols": 1, "data": {"re": 1}}), 2,
+     "error: matrix has non-finite entries\n"),
+    (_two_vector_basis({"rows": 1, "cols": 2, "data": [[float("nan"), 0.0], [0.0, 0.0]]}), 2,
+     "error: matrix has non-finite entries\n"),
+    (_two_vector_basis(_vec([[1.0, 0.0], [0.0]]), _vec(_E1[:1], rows=2)), 2, _RAGGED),
+], ids=["ragged-pair", "string-entry", "null-entry", "int-beyond-float", "int-beyond-int64",
+        "boolean-entries", "row-vector", "data-object", "vector-not-object", "mixed-lengths",
+        "nan-entry", "kraus-mixed-shapes", "nan-before-bad-data", "row-vector-with-nan",
+        "ragged-before-short"])
+def test_classify_parse_messages_are_pinned(tmp_path, capsys, text, code, stderr):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == code
+    assert capsys.readouterr().err == stderr
+
+
 def test_classify_non_utf8_file_exit_2(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + json.dumps({"dimA": 2}).encode("utf-16-le"))

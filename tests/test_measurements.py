@@ -213,3 +213,55 @@ def test_rotation_preserves_structure(rng):
     assert semicausal_basis_test(basis, "B").semicausal
     grid = causal_structure(basis)
     assert (grid.d, grid.r_a, grid.r_b) == (2, 1, 1)
+
+
+def test_basis_takes_a_stack_as_one_copy():
+    rows = np.eye(4, dtype=complex)[::-1]
+    basis = OrthogonalBasis(rows, D22)
+    assert basis._rows is not rows and np.array_equal(basis._rows, rows)
+    assert rows.flags.writeable and not basis._rows.flags.writeable
+    with pytest.raises(ValueError, match="basis has 3 vectors, expected 4"):
+        OrthogonalBasis(rows[:3], D22)
+
+
+def test_classify_decides_each_side_once(corpus, monkeypatch):
+    # one pairwise verdict per side: the structure, the witness and classify
+    # itself read the verdict kept with that side's tables
+    from importlib import resources
+    import sys
+
+    from qcausal import measurements
+    from qcausal.report import classify_basis
+    from qcausal.serialize import load_document
+
+    decided, tested = [], []
+    original_verdict, original_test = measurements._pairwise_verdict, semicausal_basis_test
+
+    def counted_verdict(tables, bar):
+        decided.append(tables)
+        return original_verdict(tables, bar)
+
+    def counted_test(basis, side, *args, **kwargs):
+        tested.append(side)
+        return original_test(basis, side, *args, **kwargs)
+
+    monkeypatch.setattr(measurements, "_pairwise_verdict", counted_verdict)
+    for key, module in list(sys.modules.items()):
+        if key == "qcausal" or key.startswith("qcausal."):
+            for attr, value in list(vars(module).items()):
+                if value is original_test:
+                    monkeypatch.setattr(module, attr, counted_test)
+    fixtures = resources.files("qcausal") / "fixtures"
+    bases = [b for _, b in corpus] + [
+        load_document(str(fixtures / name))
+        for name in ("bell_basis.json", "completion_basis.json", "conditional_basis.json",
+                     "mismatch_basis.json", "twisted_quadrant_basis.json")]
+    for basis in bases:
+        fresh = OrthogonalBasis(basis.vectors, basis.dims)  # no tables kept from other tests
+        decided.clear()
+        tested.clear()
+        report = classify_basis(fresh)
+        assert len(decided) == 2 and decided[0] is not decided[1]
+        assert sorted(tested) == ["A", "B"]
+        assert report.causal == all(t.verdicts[measurements._bar(fresh, 1e-9)].semicausal
+                                    for t in decided)

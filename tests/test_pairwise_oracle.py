@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from qcausal.causality import SEARCH_THRESHOLD
 from qcausal.channels import apply_to_vector, measurement_channel
 from qcausal.linalg import (
+    SUPPORT_CUTOFF,
     alignment_unitary,
+    dag,
     frobenius,
     haar_unitary,
     mat_close,
@@ -27,7 +29,8 @@ from qcausal.linalg import (
     trace_distance,
 )
 from qcausal.measurements import (
-    _support_projector,
+    _pair_tables,
+    _support_projectors,
     basis_signaling_witness,
     causal_structure,
     rotate_basis,
@@ -37,6 +40,14 @@ from qcausal.serialize import load_document
 
 BASIS_FIXTURES = ["bell_basis.json", "completion_basis.json", "conditional_basis.json",
                   "mismatch_basis.json", "twisted_quadrant_basis.json"]
+
+
+def _support_projector(sigma):
+    """One state's support projector and rank, from its own eigh."""
+    w, v = np.linalg.eigh((sigma + dag(sigma)) / 2)
+    keep = w > SUPPORT_CUTOFF
+    vecs = v[:, keep]
+    return vecs @ dag(vecs), int(keep.sum())
 
 
 def _reference_sigmas(basis, side):
@@ -181,3 +192,15 @@ def test_tables_match_scalar_loops_in_random_frames(oracle_bases, seed, tol):
         na, nb = basis.dims
         moved = rotate_basis(basis, haar_unitary(na, rng), haar_unitary(nb, rng))
         _tables_agree_with_reference(name, moved, tol)
+
+
+def test_batched_support_projectors_match_one_eigh_each(oracle_bases, corpus_of_seed):
+    # the subspace projectors feed the one-way protocol, so they keep their bits
+    bases = oracle_bases + corpus_of_seed(1)
+    for name, basis in bases:
+        for side in "AB":
+            sigmas = _pair_tables(basis, side).sigmas
+            projectors, dims = _support_projectors(sigmas)
+            for sigma, p, dim in zip(sigmas, projectors, dims):
+                p_ref, dim_ref = _support_projector(sigma)
+                assert dim == dim_ref and np.array_equal(p, p_ref), (name, side)
