@@ -115,7 +115,7 @@ def me_basis_from_unitaries(unitaries: Sequence[np.ndarray]) -> OrthogonalBasis:
     with identity frames."""
     stack = np.stack([as_matrix(u) for u in unitaries])
     eye = np.eye(stack.shape[-1])
-    return OrthogonalBasis(tuple(cell_states(eye, stack, eye)), BiDims(*eye.shape))
+    return OrthogonalBasis(cell_states(eye, stack, eye), BiDims(*eye.shape))
 
 
 def twisted_partition_basis(u_b: np.ndarray) -> OrthogonalBasis:
@@ -133,7 +133,7 @@ def twisted_partition_basis(u_b: np.ndarray) -> OrthogonalBasis:
     cells = np.stack([_BELL_UNITARIES] * 3 + [_BELL_UNITARIES @ u_b.T]).reshape(2, 2, 4, 2, 2)
     quadrants = _blocks(4, 2)
     states = cell_states(quadrants[:, None, None], cells, quadrants[None, :, None])
-    return OrthogonalBasis(tuple(states.reshape(16, 16)), BiDims(4, 4))
+    return OrthogonalBasis(states.reshape(16, 16), BiDims(4, 4))
 
 
 def extract_unitaries(grid: CausalGrid) -> np.ndarray:

@@ -521,7 +521,7 @@ def semicausal_partition_basis(dims: BiDims, part_dims: tuple[int, ...],
     offsets = np.cumsum((0,) + part_dims)
     states = [cell_states(eye_a[:, o:o + d], _phase_unitaries(d)[:d], cols[:, None, :, :d])
               for o, d in zip(offsets, part_dims)]
-    basis = OrthogonalBasis(tuple(np.concatenate(states, axis=None).reshape(-1, dims.total)), dims)
+    basis = OrthogonalBasis(np.concatenate(states, axis=None).reshape(-1, dims.total), dims)
     if rng is not None:
         basis = rotate_basis(basis, haar_unitary(dims.dim_a, rng), haar_unitary(dims.dim_b, rng))
     return basis
@@ -540,7 +540,7 @@ def causal_grid_basis(dims: BiDims, d: int,
         raise ValueError("cell dimension must divide both local dimensions")
     states = cell_states(_blocks(dims.dim_a, d)[:, None, None], _phase_unitaries(d),
                          _blocks(dims.dim_b, d)[None, :, None])
-    basis = OrthogonalBasis(tuple(states.reshape(-1, dims.total)), dims)
+    basis = OrthogonalBasis(states.reshape(-1, dims.total), dims)
     if rng is not None:
         basis = rotate_basis(basis, haar_unitary(dims.dim_a, rng), haar_unitary(dims.dim_b, rng))
     return basis
@@ -549,4 +549,4 @@ def causal_grid_basis(dims: BiDims, d: int,
 def haar_basis(dims: BiDims, rng: np.random.Generator) -> OrthogonalBasis:
     """Haar-random orthonormal basis (generically signaling in both directions)."""
     u = haar_unitary(dims.total, rng)
-    return OrthogonalBasis(tuple(u[:, k] for k in range(dims.total)), dims)
+    return OrthogonalBasis(u.T, dims)

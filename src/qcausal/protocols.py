@@ -82,7 +82,7 @@ def semilocal_channel(basis: OrthogonalBasis) -> KrausChannel:
     v = np.stack([alignment_unitary(phi[a].T, states[a].T) for a in outcomes])  # (k, B', P)
     bra = states.conj()  # (k, R, B)
     k = np.einsum("kxp,kra,kyp,krb->kxyab", phi, p, v, bra, optimize=True)
-    return KrausChannel(tuple(k.reshape(basis.size, na * nb, na * nb)), basis.dims)
+    return KrausChannel(k.reshape(basis.size, na * nb, na * nb), basis.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def entanglement_swap_channel() -> KrausChannel:
         c = ((PAULI_Z if record["stray_phase_flip"] else I2)
              @ (PAULI_X if record["stray_parity_flip"] else I2))
         corrections.append(tensor_product(c, I2))
-    return KrausChannel(tuple(np.stack(corrections) @ raw), BiDims(2, 2))
+    return KrausChannel(np.stack(corrections) @ raw, BiDims(2, 2))
 
 
 # ---------------------------------------------------------------------------

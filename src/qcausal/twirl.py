@@ -116,7 +116,7 @@ def twirl_channel(group: np.ndarray, dims: BiDims) -> KrausChannel:
     (order, n, n) stack of unitaries."""
     if group.shape[-1] != dims.total:
         raise ValueError(f"group dimension {group.shape[-1]} != {dims.total}")
-    return KrausChannel(tuple(group * (1 / np.sqrt(len(group)))), dims)
+    return KrausChannel(group * (1 / np.sqrt(len(group))), dims)
 
 
 def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel:
@@ -136,7 +136,7 @@ def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel
     # kron(a[g, alpha], b[g, beta]) for every (g, alpha, beta) as one outer product,
     # element for element the products np.kron takes
     kraus = a[:, :, None, :, None, :, None] * b[:, None, :, None, :, None, :] / grid.d
-    return KrausChannel(tuple(kraus.reshape(-1, basis.dims.total, basis.dims.total)), basis.dims)
+    return KrausChannel(kraus.reshape(-1, basis.dims.total, basis.dims.total), basis.dims)
 
 
 def stabilizer_channel(generators: Sequence[PauliString],
