@@ -1,6 +1,10 @@
+import sys
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from qcausal import measurements
 from qcausal.channels import apply, measurement_channel
 from qcausal.linalg import BiDims, HADAMARD, haar_unitary, partial_trace, proj, trace_distance
 from qcausal.measurements import (
@@ -19,6 +23,8 @@ from qcausal.measurements import (
     semicausal_structure,
 )
 from qcausal.localizability import twisted_partition_basis
+from qcausal.report import classify_basis
+from qcausal.serialize import load_document
 
 D22 = BiDims(2, 2)
 
@@ -227,13 +233,6 @@ def test_basis_takes_a_stack_as_one_copy():
 def test_classify_decides_each_side_once(corpus, monkeypatch):
     # one pairwise verdict per side: the structure, the witness and classify
     # itself read the verdict kept with that side's tables
-    from importlib import resources
-    import sys
-
-    from qcausal import measurements
-    from qcausal.report import classify_basis
-    from qcausal.serialize import load_document
-
     decided, tested = [], []
     original_verdict, original_test = measurements._pairwise_verdict, semicausal_basis_test
 
