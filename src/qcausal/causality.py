@@ -11,11 +11,16 @@ the product input, and the probe states |i>, (|i>+|j>)/sqrt(2) and
 separates the receiver's outputs iff the channel signals. A returned witness
 is a working signaling protocol that replays on the Kraus operators.
 
-The scan eigendecomposes only the probe-pair differences that can win: for a
-difference X of receiver outputs, ||X||_F <= ||X||_1 <= sqrt(d_out) ||X||_F,
-so once one pair's trace norm is known, a pair whose bound sqrt(d_out) ||X||_F
-falls below it by more than ``PRUNE_MARGIN`` cannot be the maximum. Among the
-maxima the first in (receiver probe, sender pair) row-major order wins.
+The scan eigendecomposes only the probe-pair differences X that can win, as
+||X||_F <= ||X||_1 <= sqrt(d_out) ||X||_F. One batched Gram product G of the
+outputs, read as real vectors, gives every ||X||_F^2 = G_ii + G_jj - 2 G_ij;
+that expansion cancels near X = 0 and is off by up to (2 d_out^2 + 2) eps
+(G_ii + G_jj), each entry summing 2 d_out^2 products, so each square gets a
+slack of ``GRAM_SLACK`` d_out^2 eps (G_ii + G_jj). It only prunes, so slack
+costs work, never a verdict: the floor (the top pair's trace distance) and
+every candidate are eigenvalues of exact differences, in batches of
+``ENTRY_BUDGET`` entries, and the first maximum in (receiver probe, sender
+pair) row-major order wins. The scan reads the exact test's marginal.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -39,6 +44,8 @@ A_TO_B = "AtoB"
 SEARCH_THRESHOLD = 1e-6
 # Relative slack on the trace-norm bound of the witness scan, far above rounding.
 PRUNE_MARGIN = 1e-9
+# The scan's slack on ||X||_F^2 in d_out^2 eps (G_ii + G_jj); its batch in complex entries.
+GRAM_SLACK, EPS, ENTRY_BUDGET = 4, float(np.finfo(float).eps), 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,8 +67,10 @@ def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
     Indices are (receiver input, sender input, receiver output) for the ket
     and the same three for the bra, with x the sender's output:
     ``t[r, s, o, r', s', o'] = sum_k,x K_k[(o, x), (r, s)] conj(K_k[(o', x), (r', s')])``
-    with A's indices first inside each Kraus operator.
+    with A's indices first inside each Kraus operator; built once, kept in ``ch._cache``.
     """
+    if direction in ch._cache:
+        return ch._cache[direction]
     t = _choi_vectors(ch)  # (k, in A, out A, out B, in B), a view
     if direction == B_TO_A:
         x = t.transpose(0, 3, 1, 4, 2)  # (k, out B, in A, in B, out A)
@@ -71,7 +80,9 @@ def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
         raise ValueError(f"direction must be {B_TO_A!r} or {A_TO_B!r}, got {direction!r}")
     shape = x.shape[2:]
     x = x.reshape(x.shape[0] * x.shape[1], -1)
-    return (x.T @ x.conj()).reshape(shape + shape)
+    marginal = ch._cache[direction] = (x.T @ x.conj()).reshape(shape + shape)
+    marginal.flags.writeable = False
+    return marginal
 
 
 def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool:
@@ -129,9 +140,8 @@ def _probe_outputs(t: np.ndarray, recv_proj: np.ndarray, send_proj: np.ndarray) 
     """Receiver outputs for every (receiver probe, sender probe), flattened:
     ``out[p, q] = tr_in[(|p><p| (x) |q><q|) t]`` as two matrix products."""
     dr, ds, do = t.shape[:3]
-    x = t.transpose(0, 3, 1, 4, 2, 5).reshape(dr * dr, -1)  # (rR, sS oO)
-    y = (recv_proj @ x).reshape(len(recv_proj), ds * ds, do * do)
-    return send_proj @ y
+    y = recv_proj @ t.transpose(0, 3, 1, 4, 2, 5).reshape(dr * dr, -1)  # (rR, sS oO) copy
+    return send_proj @ y.reshape(len(recv_proj), ds * ds, do * do)
 
 
 def _trace_distances(diffs: np.ndarray, d_out: int) -> np.ndarray:
@@ -144,14 +154,12 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     Every receiver probe meets every pair of sender probes (:func:`_ic_probes`);
     the receiver probe and sender pair whose outputs lie furthest apart in
     trace distance make the witness, the first in row-major (probe, pair)
-    order on ties. Only candidates are eigendecomposed: the pair with the
-    largest Frobenius difference sets a floor (its trace distance), and a pair
-    whose bound ``sqrt(d_out) ||X||_F / 2`` stays below that floor by more than
-    ``PRUNE_MARGIN`` cannot reach the maximum. The witness's separation is
-    recomputed from the Kraus operators, so it replays. Returns nothing when
-    the best separation is at most ``SEARCH_THRESHOLD``: the channel then
-    blocks signaling, or signals so weakly that no probe pair shows it above
-    that threshold.
+    order on ties. Only pairs whose Gram bound ``sqrt(d_out) ||X||_F / 2``
+    reaches the floor within ``PRUNE_MARGIN`` are eigendecomposed (see the
+    module docstring). The witness's separation is recomputed from the Kraus
+    operators, so it replays. Returns nothing when the best separation is at
+    most ``SEARCH_THRESHOLD``: the channel then blocks signaling, or signals
+    so weakly that no probe pair shows it above that threshold.
     """
     t = _marginal(ch, direction)
     d_out = t.shape[2]
@@ -160,21 +168,24 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     out = _probe_outputs(t, recv_proj, send_proj)
     p = q = q_alt = 0
     if len(first):
-        # One row of differences at a time keeps peak memory at one row.
-        fro = np.array([np.linalg.norm(row[first] - row[second], axis=-1) for row in out])
-        top = np.unravel_index(int(fro.argmax()), fro.shape)
+        flat = out.view(float)
+        gram = flat @ flat.transpose(0, 2, 1)
+        norms = gram.diagonal(axis1=1, axis2=2)
+        scale = norms[:, first] + norms[:, second]
+        bound = 0.5 * math.sqrt(d_out) * np.sqrt(np.maximum(scale - 2 * gram[:, first, second], 0)
+                                                 + GRAM_SLACK * d_out ** 2 * EPS * scale)
+        del gram, norms, scale  # 3 MB at 8x8, next to the batches
+        top = divmod(int(bound.argmax()), bound.shape[1])
         floor = _trace_distances(out[top[0], first[top[1]]] - out[top[0], second[top[1]]],
                                  d_out)[0]
-        bound = 0.5 * math.sqrt(d_out) * fro
         rows, pairs = np.nonzero(bound >= floor * (1 - PRUNE_MARGIN))
-        best = 0.0
-        # Candidates in row-major order, at most one row's worth per batch.
-        for start in range(0, len(rows), len(first)):
-            r, m = rows[start:start + len(first)], pairs[start:start + len(first)]
-            dist = _trace_distances(out[r, first[m]] - out[r, second[m]], d_out)
-            k = int(dist.argmax())
-            if dist[k] > best:
-                best, p, q, q_alt = dist[k], int(r[k]), int(first[m[k]]), int(second[m[k]])
+        step = ENTRY_BUDGET // d_out ** 2
+        batches = ((rows[i:i + step], pairs[i:i + step]) for i in range(0, len(rows), step))
+        dist = np.concatenate([_trace_distances(out[r, first[m]] - out[r, second[m]], d_out)
+                               for r, m in batches])
+        k = int(dist.argmax())
+        if dist[k] > 0:
+            p, q, q_alt = int(rows[k]), int(first[pairs[k]]), int(second[pairs[k]])
     stack = ch.stacked()
     phi, psi, psi_prime = recv[p].copy(), send[q].copy(), send[q_alt].copy()
     separation = trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),

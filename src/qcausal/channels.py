@@ -20,11 +20,13 @@ class KrausChannel:
 
     ``kraus`` is a sequence of operators or one (k, n, n) array; either way it
     is copied once into a read-only stack, and ``kraus`` holds views of it.
+    ``_cache`` keeps tensors derived from it (``causality``'s Choi marginals).
     """
 
     kraus: tuple[np.ndarray, ...]
     dims: BiDims
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not len(self.kraus):
@@ -44,6 +46,7 @@ class KrausChannel:
         stack.flags.writeable = False
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "_cache", {})
 
     @property
     def dim(self) -> int:
@@ -165,6 +168,5 @@ def measurement_channel(basis) -> KrausChannel:
     Kraus operators are the rank-1 projectors onto the basis states;
     the channel decoheres any input in that basis.
     """
-    rows = basis._rows
-    return KrausChannel(rows[:, :, None] * rows.conj()[:, None, :], basis.dims)
+    return KrausChannel(basis.projectors(), basis.dims)
 

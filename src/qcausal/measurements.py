@@ -49,8 +49,8 @@ class OrthogonalBasis:
 
     The vectors, a sequence or one (n, n) array whose row k is vector k, are
     copied once into a read-only (n, n) array; ``vectors`` holds views of its
-    rows. Tables derived from them (reduced states, pair norms, Schmidt
-    coefficients) are computed on first use and kept with the instance.
+    rows. Tables derived from them (projectors, reduced states, pair norms,
+    Schmidt coefficients) are computed on first use and kept with the instance.
     """
 
     vectors: tuple[np.ndarray, ...]
@@ -84,6 +84,14 @@ class OrthogonalBasis:
     @property
     def size(self) -> int:
         return len(self.vectors)
+
+    def projectors(self) -> np.ndarray:
+        """The projectors |k><k| as one read-only (n, n, n) array, built once."""
+        if "projectors" not in self._cache:
+            rows = self._rows
+            stack = self._cache["projectors"] = rows[:, :, None] * rows.conj()[:, None, :]
+            stack.flags.writeable = False
+        return self._cache["projectors"]
 
 
 @dataclass(frozen=True)
@@ -186,11 +194,10 @@ def _pair_tables(basis: OrthogonalBasis, side: str) -> _PairTables:
     tables = basis._cache.get(side)
     if tables is None:
         na, nb = basis.dims
-        rows = basis._rows
         # the elementwise outer products, then np.trace over the other factor:
         # bit for bit the per-vector partial_trace(proj(v)), on which the
         # witness order's ties are broken
-        t = (rows[:, :, None] * rows.conj()[:, None, :]).reshape(-1, na, nb, na, nb)
+        t = basis.projectors().reshape(-1, na, nb, na, nb)
         sigmas = np.trace(t, axis1=2, axis2=4) if other == "B" else np.trace(t, axis1=1, axis2=3)
         sigmas.flags.writeable = False
         # differences taken directly: expanding ||a||^2 + ||b||^2 - 2 Re<a, b>

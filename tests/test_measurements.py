@@ -15,6 +15,7 @@ from qcausal.measurements import (
     causal_structure,
     completion_basis,
     conditional_basis,
+    haar_basis,
     product_basis,
     reduced_states,
     rotate_basis,
@@ -186,6 +187,19 @@ def test_tables_are_built_once_and_read_only():
     for arr in (basis.vectors[0], first[0]):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_projector_stack_is_formed_once_for_the_channel_and_both_sides(rng):
+    basis = haar_basis(BiDims(2, 3), rng)
+    rows = basis._rows
+    stack = basis.projectors()
+    assert basis.projectors() is stack and not stack.flags.writeable
+    assert np.array_equal(stack, rows[:, :, None] * rows.conj()[:, None, :])
+    assert np.array_equal(measurement_channel(basis).stacked(), stack)
+    # the pair tables read the kept stack: a changed copy of it shows in them
+    fresh = OrthogonalBasis(rows, basis.dims)
+    fresh._cache["projectors"] = 2 * stack
+    assert np.array_equal(reduced_states(fresh, "A"), 2 * np.array(reduced_states(basis, "A")))
 
 
 def test_structure_follows_tol(near_causal_basis):
