@@ -94,8 +94,8 @@ def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool
     """
     t = _marginal(ch, direction)
     d_send = t.shape[1]
-    reduced = np.einsum("rsoRsO->roRO", t)
-    expected = np.einsum("roRO,sS->rsoRSO", reduced, np.eye(d_send) / d_send)
+    reduced = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :]  # (r, 1, o, R, 1, O)
+    expected = reduced * (np.eye(d_send) / d_send)[:, None, None, :, None]
     return frobenius(t - expected) < tol * math.prod(t.shape[:3])
 
 

@@ -234,6 +234,11 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="qcausal",
                                      description="Classify bipartite quantum operations.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -268,19 +273,36 @@ def build_parser() -> argparse.ArgumentParser:
                          help="twisted-basis build: twist unitary")
     p_build.add_argument("-o", "--output", required=True)
     p_build.set_defaults(func=_cmd_build)
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; each parse fills a fresh namespace."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers, built once per process; each parse fills a fresh namespace."""
+    return _build_parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same output and exits.
+
+    When ``argv[0]`` names a subcommand, its parser reads the rest directly,
+    as the top-level parse would after matching it, and leftover arguments
+    are reported through the top-level parser as there.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

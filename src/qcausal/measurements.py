@@ -203,7 +203,12 @@ def _pair_tables(basis: OrthogonalBasis, side: str) -> _PairTables:
         # differences taken directly: expanding ||a||^2 + ||b||^2 - 2 Re<a, b>
         # cancels to noise near the tol * n bar and flips near-ties
         diff = np.linalg.norm(sigmas[:, None] - sigmas[None, :], axis=(2, 3))
-        prod = np.linalg.norm(sigmas[:, None] @ sigmas[None, :], axis=(2, 3))
+        # every product s_a s_b from one gemm, laid out (a, i, b, j); its last
+        # bits differ from per-pair products, but no pair of the tested bases
+        # sits close enough to the bar for a decision to move
+        n, ns = sigmas.shape[:2]
+        prod = sigmas.reshape(n * ns, ns) @ sigmas.transpose(1, 0, 2).reshape(ns, n * ns)
+        prod = np.linalg.norm(prod.reshape(n, ns, n, ns), axis=(1, 3))
         tables = basis._cache[side] = _PairTables(sigmas, diff, prod)
     return tables
 
@@ -393,15 +398,13 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
     bar = _bar(basis, tol)
     if t.verdict(bar).semicausal:
         raise ValueError(f"basis passes the pairwise criterion on side {side}; no witness exists")
-    steerable = (t.prod > bar) & ~(t.diff < bar)  # overlapping and distinct
-    candidates = [int(b) for b in np.nonzero(steerable.any(axis=1))[0]]
-    candidates.sort(key=lambda b: (-frobenius(t.sigmas[b]), b))
+    steerable, candidates = _witness_candidates(t, bar)
     # every basis state as a matrix whose row index is the sender's
     states = basis._rows.reshape(-1, *basis.dims)
     if side == "A":
         states = np.ascontiguousarray(states.transpose(0, 2, 1))
     bras = states.reshape(basis.size, -1).conj()
-    for b_idx in candidates:
+    for b_idx in candidates.tolist():
         plain = _receiver_output(bras, t.sigmas, states[b_idx])
         for a_idx in np.nonzero(steerable[b_idx])[0]:
             u = alignment_unitary(states[b_idx], states[a_idx])
@@ -411,12 +414,29 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
     return None
 
 
+def _witness_candidates(t: _PairTables, bar: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) mask of overlapping and distinct pairs, and the indices with a
+    partner in it by descending norm of their reduced state, ascending on ties."""
+    steerable = (t.prod > bar) & ~(t.diff < bar)
+    candidates = np.flatnonzero(steerable.any(axis=1))
+    return steerable, candidates[np.lexsort((candidates, -_frobenius_norms(t.sigmas[candidates])))]
+
+
 def _receiver_output(bras: np.ndarray, sigmas: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The receiver's reduced output when the measurement acts on the pure input
     ``w``: sum_c |<c|w>|^2 sigma_c, read off the reduced-state table. ``bras``
     holds the conjugated basis states flattened in the same layout as ``w``."""
     weights = np.abs(bras @ w.reshape(-1)) ** 2
-    return np.tensordot(weights, sigmas, axes=1)
+    return (weights @ sigmas.reshape(len(sigmas), -1)).reshape(sigmas.shape[1:])
+
+
+def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``[frobenius(m) for m in stack]`` bit for bit, in two stacked products:
+    the sums of squares of the real and imaginary parts, each the same strided
+    dot product that ``np.linalg.norm`` takes of one matrix."""
+    flat = stack.reshape(len(stack), 1, stack.shape[1] * stack.shape[2])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)
 
 
 # ---------------------------------------------------------------------------

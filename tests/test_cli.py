@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import qcausal
-from qcausal.cli import main
+from qcausal.cli import build_parser, main
 from qcausal.serialize import dump_document, load_document
 
 
@@ -290,6 +290,32 @@ def test_reused_parser_keeps_calls_independent(tmp_path, capsys, near_causal_bas
     assert json.loads(outputs[0])["causal"]
     assert not json.loads(outputs[1])["causal"]
     assert outputs[2].startswith("input: basis")
+
+
+def _full_parse_main(argv):
+    """``main`` through the top-level parse, which nests into the subcommand's."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--bogus"], ["classify", "-h"], ["classify"], ["classify", "--json"],
+    ["classify", "x.json", "--bogus"], ["classify", "x.json", "extra", "--json"],
+    ["classify", "x.json", "--tol", "5"], ["classify", "bell_basis.json", "--json"],
+    ["classify", "-h", "--bogus"], ["frobnicate", "x.json"], ["demo"], ["demo", "nope"],
+    ["demo", "ip", "--x", "1", "--y", "10"], ["demo", "chsh", "--seed", "1", "--bogus"],
+    ["build", "bell-basis"],
+])
+def test_subcommand_dispatch_matches_full_parse(monkeypatch, capsys, argv):
+    # with --bogus the full parse reports through the top-level usage, unlike
+    # the subcommand's own parse_args
+    expected = (_full_parse_main(argv), *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == expected
+    monkeypatch.setattr(sys, "argv", ["qcausal", *argv])
+    assert (main(), *capsys.readouterr()) == expected
 
 
 def test_demo_chsh_values(capsys):

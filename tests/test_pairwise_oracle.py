@@ -28,11 +28,17 @@ from qcausal.linalg import (
     tensor_product,
     trace_distance,
 )
+from qcausal.linalg import BiDims
 from qcausal.measurements import (
+    _frobenius_norms,
     _pair_tables,
+    _PairTables,
+    _pairwise_verdict,
     _support_projectors,
+    _witness_candidates,
     basis_signaling_witness,
     causal_structure,
+    haar_basis,
     rotate_basis,
     semicausal_basis_test,
 )
@@ -204,3 +210,43 @@ def test_batched_support_projectors_match_one_eigh_each(oracle_bases, corpus_of_
             for sigma, p, dim in zip(sigmas, projectors, dims):
                 p_ref, dim_ref = _support_projector(sigma)
                 assert dim == dim_ref and np.array_equal(p, p_ref), (name, side)
+
+
+def broadcast_prod(sigmas):
+    """``||s_a s_b||`` from one matrix product per pair, the table's former formula."""
+    return np.linalg.norm(sigmas[:, None] @ sigmas[None, :], axis=(2, 3))
+
+
+@pytest.fixture(scope="module")
+def table_bases(oracle_bases, corpus_of_seed):
+    rng = np.random.default_rng(57)
+    haar = [(f"haar-{na}x{nb}", haar_basis(BiDims(na, nb), rng)) for na, nb in [(5, 7), (8, 8)]]
+    return oracle_bases + corpus_of_seed(1) + corpus_of_seed(3) + haar
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-5])
+def test_gemm_prod_table_decides_as_broadcast_products(table_bases, tol):
+    # the one-gemm table differs from the per-pair products in the last bits;
+    # no pair may sit close enough to the bar for that to change a decision
+    for name, basis in table_bases:
+        bar = tol * max(1.0, basis.dims.total)
+        for side in "AB":
+            t = _pair_tables(basis, side)
+            oracle = _PairTables(t.sigmas, t.diff, broadcast_prod(t.sigmas))
+            assert _pairwise_verdict(t, bar) == _pairwise_verdict(oracle, bar), (name, side)
+            steerable, _ = _witness_candidates(t, bar)
+            assert np.array_equal(steerable, _witness_candidates(oracle, bar)[0]), (name, side)
+
+
+def test_witness_order_matches_per_state_norms(table_bases):
+    for name, basis in table_bases:
+        bar = 1e-9 * max(1.0, basis.dims.total)
+        for side in "AB":
+            t = _pair_tables(basis, side)
+            norms = [frobenius(s) for s in t.sigmas]
+            assert np.array_equal(_frobenius_norms(t.sigmas), norms), (name, side)
+            steerable, order = _witness_candidates(t, bar)
+            candidates = [int(b) for b in np.nonzero(steerable.any(axis=1))[0]]
+            assert np.array_equal(_frobenius_norms(t.sigmas[candidates]),
+                                  [norms[b] for b in candidates]), (name, side)
+            assert order.tolist() == sorted(candidates, key=lambda b: (-norms[b], b)), (name, side)
