@@ -77,8 +77,24 @@ def dag(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+def _as_inexact(m) -> np.ndarray:
+    """``m`` as an array, cast to float unless inexact, as ``np.linalg.norm`` casts it."""
+    x = np.asarray(m)
+    return x if issubclass(x.dtype.type, np.inexact) else x.astype(float)
+
+
 def frobenius(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    """``np.linalg.norm(m)`` bit for bit: its own formula, without its argument handling."""
+    x = _as_inexact(m).ravel(order="K")
+    if x.dtype.kind != "c":
+        return float(np.sqrt(x.dot(x)))
+    return float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
+
+
+def frobenius_norms(m: np.ndarray, axis) -> np.ndarray:
+    """``np.linalg.norm(m, axis=axis)`` bit for bit, for one axis or a pair of axes."""
+    x = _as_inexact(m)
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
 def mat_close(a: np.ndarray, b: np.ndarray, tol: float = ATOL) -> bool:

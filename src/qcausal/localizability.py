@@ -27,6 +27,7 @@ from .linalg import (
     as_vector,
     dag,
     frobenius,
+    frobenius_norms,
     is_unitary,
     min_singular_value,
     normalize,
@@ -147,8 +148,8 @@ def extract_unitaries(grid: CausalGrid) -> np.ndarray:
         raise ValueError(f"basis is not maximally entangled ({grid.r_a} x {grid.r_b} "
                          f"cells of dimension {grid.d})")
     stack, d = grid.unitaries, grid.d
-    unitary = np.linalg.norm(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d),
-                             axis=(1, 2)) < 1e-8 * d
+    deviations = frobenius_norms(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d), (1, 2))
+    unitary = deviations < 1e-8 * d
     if not unitary.all():
         raise ValueError(f"extracted operator {int(np.argmin(unitary))} is not unitary")
     if frobenius(_gram(stack) - d * np.eye(d * d)) > 1e-7 * d * d:

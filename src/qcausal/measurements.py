@@ -35,6 +35,7 @@ from .linalg import (
     alignment_unitary,
     as_vector,
     frobenius,
+    frobenius_norms,
     haar_unitary,
     mat_close,
     proj,
@@ -202,13 +203,13 @@ def _pair_tables(basis: OrthogonalBasis, side: str) -> _PairTables:
         sigmas.flags.writeable = False
         # differences taken directly: expanding ||a||^2 + ||b||^2 - 2 Re<a, b>
         # cancels to noise near the tol * n bar and flips near-ties
-        diff = np.linalg.norm(sigmas[:, None] - sigmas[None, :], axis=(2, 3))
+        diff = frobenius_norms(sigmas[:, None] - sigmas[None, :], (2, 3))
         # every product s_a s_b from one gemm, laid out (a, i, b, j); its last
         # bits differ from per-pair products, but no pair of the tested bases
         # sits close enough to the bar for a decision to move
         n, ns = sigmas.shape[:2]
         prod = sigmas.reshape(n * ns, ns) @ sigmas.transpose(1, 0, 2).reshape(ns, n * ns)
-        prod = np.linalg.norm(prod.reshape(n, ns, n, ns), axis=(1, 3))
+        prod = frobenius_norms(prod.reshape(n, ns, n, ns), (1, 3))
         tables = basis._cache[side] = _PairTables(sigmas, diff, prod)
     return tables
 
@@ -237,81 +238,52 @@ def semicausal_basis_test(basis: OrthogonalBasis, side: str, tol: float = ATOL) 
     return _pair_tables(basis, side).verdict(_bar(basis, tol))
 
 
-def _labels(groups, size: int) -> np.ndarray:
-    """The index of the group holding each of ``size`` indices."""
-    labels = np.empty(size, dtype=int)
-    for k, members in enumerate(groups):
-        labels[list(members)] = k
-    return labels
-
-
-def _group_by_equality(close: list[list[bool]]) -> list[list[int]]:
-    """Group indices by the first earlier group leader they are ``close`` to."""
-    groups: list[list[int]] = []
+def _group_by_equality(close: list[list[bool]]) -> tuple[list[list[int]], np.ndarray]:
+    """Indices grouped by the first earlier leader they are ``close`` to, and each one's group."""
+    groups, labels = [], []
     for idx, row in enumerate(close):
-        for g in groups:
+        for k, g in enumerate(groups):
             if row[g[0]]:
                 g.append(idx)
+                labels.append(k)
                 break
         else:
+            labels.append(len(groups))
             groups.append([idx])
-    return groups
+    return groups, np.array(labels)
 
 
-def _schmidt_coefficients(basis: OrthogonalBasis) -> np.ndarray:
-    """Descending Schmidt coefficients of every basis vector, one batched SVD."""
-    coeffs = basis._cache.get("schmidt_coefficients")
-    if coeffs is None:
-        coeffs = np.linalg.svd(basis._rows.reshape(-1, *basis.dims), compute_uv=False)
-        basis._cache["schmidt_coefficients"] = coeffs
-    return coeffs
+def _schmidt(basis: OrthogonalBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Schmidt decomposition ``(u, s, vh)`` of every basis state, one batched SVD."""
+    if "schmidt" not in basis._cache:
+        basis._cache["schmidt"] = np.linalg.svd(basis._rows.reshape(-1, *basis.dims))
+    return basis._cache["schmidt"]
 
 
-def _support_projectors(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each state's support projector and its rank, from one batched eigh.
-
-    The kept eigenvectors, those above SUPPORT_CUTOFF, are the last columns,
-    so the states of one rank share one batched product.
-    """
-    w, v = np.linalg.eigh((sigmas + sigmas.conj().transpose(0, 2, 1)) / 2)
-    dims = (w > SUPPORT_CUTOFF).sum(axis=1)
-    projectors = np.empty_like(sigmas)
-    for dim in set(dims.tolist()):
-        same = np.flatnonzero(dims == dim)
-        vecs = v[same, :, v.shape[-1] - dim:]
-        projectors[same] = vecs @ vecs.conj().transpose(0, 2, 1)
-    return projectors, dims
-
-
-def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
-                         tol: float = ATOL) -> tuple[Subspace, ...]:
-    """Partition ``side`` into subspaces, grouping basis states by reduced-state support.
-
-    Requires the pairwise test to pass on ``side``. Verifies that each group's
-    reduced state is the normalized subspace projector, that the group holds
-    (other dim) * (subspace dim) members, and that every member is maximally
-    entangled between the subspace and the other factor. Each check runs over
-    all groups at once; the first group that fails one is reported.
-    """
+def _side_structure(basis: OrthogonalBasis, side: str, tol: float):
+    """:func:`semicausal_structure`'s groups, with each basis state's group, and
+    each group's dim and projector: its leader's Schmidt frame on ``side``, cut
+    where the coefficient squared (a reduced-state eigenvalue) exceeds SUPPORT_CUTOFF."""
     t = _pair_tables(basis, side)
     bar = _bar(basis, tol)
     verdict = t.verdict(bar)
     if not verdict.semicausal:
         raise ValueError(f"basis fails the pairwise criterion on side {side} "
                          f"at pair {verdict.violating_pair}")
-    n_side = basis.dims.dim_a if side == "A" else basis.dims.dim_b
-    n_other = basis.dims.total // n_side
-    groups = _group_by_equality((t.diff < bar).tolist())
-    leaders = t.sigmas[[g[0] for g in groups]]
-    projectors, dims = _support_projectors(leaders)
-    residuals = np.linalg.norm(leaders - projectors / dims[:, None, None], axis=(1, 2))
+    n_side, n_other = basis.dims if side == "A" else basis.dims[::-1]
+    groups, labels = _group_by_equality((t.diff < bar).tolist())
+    leaders = np.array([g[0] for g in groups])
+    u, coeffs, vh = _schmidt(basis)
+    dims = (coeffs[leaders] ** 2 > SUPPORT_CUTOFF).sum(axis=1)
+    frames = u[leaders] if side == "A" else vh[leaders].transpose(0, 2, 1)
+    frames = frames * (np.arange(n_side) < dims[:, None, None])  # the kept columns
+    projectors = frames @ frames.conj().transpose(0, 2, 1)
+    residuals = frobenius_norms(t.sigmas[leaders] - projectors / dims[:, None, None], (1, 2))
     # every member's Schmidt coefficients against 1/sqrt(dim) on its group's dim
-    group_of = _labels(groups, basis.size)
-    member_dims = dims[group_of, None]
-    expected = np.where(np.arange(min(basis.dims)) < member_dims, 1 / np.sqrt(member_dims), 0.0)
-    skewed = np.any(np.abs(_schmidt_coefficients(basis) - expected) > bar, axis=1)
-    failed = (~(residuals < bar) | (np.bincount(group_of) != n_other * dims)
-              | (np.bincount(group_of, skewed, len(groups)) > 0))
+    flat = np.where(np.arange(coeffs.shape[1]) < dims[:, None], 1 / np.sqrt(dims[:, None]), 0.0)
+    skewed = np.any(np.abs(coeffs - flat[labels]) > bar, axis=1)
+    failed = (~(residuals < bar) | (np.bincount(labels) != n_other * dims)
+              | (np.bincount(labels, skewed, len(groups)) > 0))
     if failed.any():
         k = int(failed.argmax())
         g, dim = groups[k], int(dims[k])
@@ -324,6 +296,20 @@ def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
                          f"over its {dim}-dimensional subspace")
     if not mat_close(projectors.sum(axis=0), np.eye(n_side), bar):
         raise ValueError("subspace projectors do not resolve the identity")
+    return groups, labels, dims, projectors
+
+
+def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
+                         tol: float = ATOL) -> tuple[Subspace, ...]:
+    """Partition ``side`` into subspaces, grouping basis states by reduced-state support.
+
+    Requires the pairwise test to pass on ``side``. Verifies that each group's
+    reduced state is the normalized subspace projector, that the group holds
+    (other dim) * (subspace dim) members, and that every member is maximally
+    entangled between the subspace and the other factor. Each check runs over
+    all groups at once; the first group that fails one is reported.
+    """
+    groups, _, dims, projectors = _side_structure(basis, side, tol)
     return tuple(Subspace(p, int(dim), tuple(g)) for p, dim, g in zip(projectors, dims, groups))
 
 
@@ -342,17 +328,15 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     (0, beta) pairs with F_0, and state k the unitary
     W_k = sqrt(d) F_alpha^dag M_k conj(E_beta).
     """
-    part_a = semicausal_structure(basis, "A", tol)
-    part_b = semicausal_structure(basis, "B", tol)
-    cell_dims = {s.dim for s in part_a} | {s.dim for s in part_b}
+    _, label_a, dims_a, _ = _side_structure(basis, "A", tol)
+    _, label_b, dims_b, _ = _side_structure(basis, "B", tol)
+    cell_dims = set(dims_a.tolist()) | set(dims_b.tolist())
     if len(cell_dims) != 1:
         raise ValueError(f"inconsistent cell dimensions {sorted(cell_dims)}")
     d = cell_dims.pop()
-    r_a, r_b = len(part_a), len(part_b)
+    r_a, r_b = len(dims_a), len(dims_b)
     if r_a * d != basis.dims.dim_a or r_b * d != basis.dims.dim_b:
         raise ValueError("cell dimension does not divide the local dimensions")
-    label_a, label_b = (_labels([s.member_indices for s in part], basis.size)
-                        for part in (part_a, part_b))
     cell_of = label_a * r_b + label_b
     counts = np.bincount(cell_of, minlength=r_a * r_b)
     if (counts != d * d).any():
@@ -362,8 +346,8 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     states = basis._rows.reshape(-1, *basis.dims)
     first = cells[0, 0]
     anchor = first[np.abs(np.trace(states[first], axis1=1, axis2=2)).argmax()]
-    u, _, vh = np.linalg.svd(states[anchor])
-    f0, e0 = u[:, :d], vh[:d].T
+    u, _, vh = _schmidt(basis)
+    f0, e0 = u[anchor, :, :d], vh[anchor, :d].T
     root_d = np.sqrt(d)
     rows = np.concatenate([f0[None], root_d * states[cells[1:, 0, 0]] @ e0.conj()])
     cols = np.concatenate([e0[None],
@@ -431,9 +415,8 @@ def _receiver_output(bras: np.ndarray, sigmas: np.ndarray, w: np.ndarray) -> np.
 
 
 def _frobenius_norms(stack: np.ndarray) -> np.ndarray:
-    """``[frobenius(m) for m in stack]`` bit for bit, in two stacked products:
-    the sums of squares of the real and imaginary parts, each the same strided
-    dot product that ``np.linalg.norm`` takes of one matrix."""
+    """``[frobenius(m) for m in stack]`` bit for bit, which ``frobenius_norms`` is not: the
+    same strided dot products of the real and imaginary parts, as two batched products."""
     flat = stack.reshape(len(stack), 1, stack.shape[1] * stack.shape[2])
     re, im = flat.real, flat.imag
     return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(-1)

@@ -9,6 +9,8 @@ from qcausal.linalg import (
     HADAMARD,
     BiDims,
     alignment_unitary,
+    frobenius,
+    frobenius_norms,
     haar_unitary,
     max_entangled,
     operator_schmidt,
@@ -171,3 +173,46 @@ def test_alignment_unitary_recovers_the_move_on_the_range(case, seed):
     for _ in range(5):
         r = haar_unitary(n, rng)
         assert np.trace(dst.conj().T @ r @ src).real <= nuclear + 1e-12
+
+
+def _layouts(arr):
+    """The array as C- and F-ordered copies, its transpose and a strided view."""
+    strided = arr[tuple(slice(None, None, 2) if n > 2 else slice(None) for n in arr.shape)]
+    return [np.ascontiguousarray(arr), np.asfortranarray(arr), arr.T, strided]
+
+
+def _kinds(rng, shape):
+    """Complex, float, int and bool arrays of one shape."""
+    re, im = rng.normal(size=shape), rng.normal(size=shape)
+    return [re + 1j * im, re, np.round(4 * re).astype(int), re > 0]
+
+
+def test_norm_helpers_equal_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for shape in [(7,), (3, 5), (4, 4), (6, 3, 5)]:
+        for arr in _kinds(rng, shape):
+            for x in _layouts(arr):
+                assert np.array_equal(frobenius(x), np.linalg.norm(x)), (shape, x.dtype)
+                for axis in range(x.ndim):
+                    assert np.array_equal(frobenius_norms(x, axis),
+                                          np.linalg.norm(x, axis=axis)), (shape, axis)
+                if x.ndim == 3:
+                    for axes in [(1, 2), (0, 2), (2, 0)]:
+                        assert np.array_equal(frobenius_norms(x, axes),
+                                              np.linalg.norm(x, axis=axes)), (shape, axes)
+
+
+@pytest.mark.parametrize("n,ns", [(4, 2), (6, 2), (6, 3), (9, 3), (16, 4), (36, 6), (64, 8)])
+def test_norm_helpers_equal_np_linalg_norm_on_pair_tables(n, ns):
+    # the exact (n, n, ns, ns) difference and (n, ns, n, ns) product layouts,
+    # from a 2x2 basis up to an 8x8 one
+    rng = np.random.default_rng(n * ns)
+    sigmas = rng.normal(size=(n, ns, ns)) + 1j * rng.normal(size=(n, ns, ns))
+    diff = sigmas[:, None] - sigmas[None, :]
+    prod = (sigmas.reshape(n * ns, ns) @ sigmas.transpose(1, 0, 2).reshape(ns, n * ns))
+    prod = prod.reshape(n, ns, n, ns)
+    assert np.array_equal(frobenius_norms(diff, (2, 3)), np.linalg.norm(diff, axis=(2, 3)))
+    assert np.array_equal(frobenius_norms(prod, (1, 3)), np.linalg.norm(prod, axis=(1, 3)))
+    for x in (diff, prod, diff.transpose(1, 0, 3, 2), prod[:, ::-1]):
+        assert np.array_equal(frobenius(x), np.linalg.norm(x))
+        assert np.array_equal(frobenius(x[0, 0]), np.linalg.norm(x[0, 0]))

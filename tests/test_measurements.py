@@ -278,3 +278,28 @@ def test_classify_decides_each_side_once(corpus, monkeypatch):
         assert sorted(tested) == ["A", "B"]
         assert report.causal == all(t.verdicts[measurements._bar(fresh, 1e-9)].semicausal
                                     for t in decided)
+
+
+@pytest.mark.parametrize("name", ["mismatch_basis.json", "rotated-grid-4x4"])
+def test_classify_takes_one_schmidt_svd_and_no_eigh(name, monkeypatch):
+    # the Schmidt coefficients, both sides' support projectors and the grid's
+    # anchor frames all come from one batched SVD kept with the basis
+    if name.endswith(".json"):
+        basis = load_document(str(resources.files("qcausal") / "fixtures" / name))
+    else:
+        basis = causal_grid_basis(BiDims(4, 4), 2, np.random.default_rng(31))
+    calls = {"eigh": 0, "svd": 0}
+
+    def counting(func):
+        original = getattr(np.linalg, func)
+
+        def counted(*args, **kwargs):
+            calls[func] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for func in calls:
+        monkeypatch.setattr(np.linalg, func, counting(func))
+    fresh = OrthogonalBasis(basis.vectors, basis.dims)  # no tables kept from other tests
+    assert classify_basis(fresh).causal
+    assert calls == {"eigh": 0, "svd": 1}

@@ -34,13 +34,15 @@ from qcausal.measurements import (
     _pair_tables,
     _PairTables,
     _pairwise_verdict,
-    _support_projectors,
     _witness_candidates,
     basis_signaling_witness,
+    causal_grid_basis,
     causal_structure,
     haar_basis,
     rotate_basis,
     semicausal_basis_test,
+    semicausal_partition_basis,
+    semicausal_structure,
 )
 from qcausal.serialize import load_document
 
@@ -200,16 +202,34 @@ def test_tables_match_scalar_loops_in_random_frames(oracle_bases, seed, tol):
         _tables_agree_with_reference(name, moved, tol)
 
 
-def test_batched_support_projectors_match_one_eigh_each(oracle_bases, corpus_of_seed):
-    # the subspace projectors feed the one-way protocol, so they keep their bits
-    bases = oracle_bases + corpus_of_seed(1)
+def test_schmidt_support_projectors_match_one_eigh_each(oracle_bases, corpus_of_seed):
+    # each subspace projector is read off its leader's Schmidt frame on the
+    # side (the columns of u on A, the rows of vh on B); it must be the
+    # support projector of the leader's reduced state, with the same rank
+    rng = np.random.default_rng(29)
+    extra = [(f"partition-{dims}-{parts}", semicausal_partition_basis(BiDims(*dims), parts, rng))
+             for dims, parts in [((4, 4), (3, 1)), ((5, 3), (3, 1, 1)), ((6, 3), (3, 2, 1)),
+                                 ((6, 4), (1, 4, 1))]]
+    extra += [(f"grid-{na}x{nb}-{d}", causal_grid_basis(BiDims(na, nb), d, rng))
+              for na, nb, d in [(2, 6, 2), (6, 2, 2), (8, 8, 2), (8, 8, 4)]]
+    bases = oracle_bases + corpus_of_seed(1) + corpus_of_seed(3) + extra
+    compared = 0
     for name, basis in bases:
         for side in "AB":
+            expected = _reference_groups(basis, side, 1e-9)
+            try:
+                subspaces = semicausal_structure(basis, side)
+            except ValueError:
+                assert expected is None, (name, side)
+                continue
+            assert [(s.dim, list(s.member_indices)) for s in subspaces] == expected, (name, side)
             sigmas = _pair_tables(basis, side).sigmas
-            projectors, dims = _support_projectors(sigmas)
-            for sigma, p, dim in zip(sigmas, projectors, dims):
-                p_ref, dim_ref = _support_projector(sigma)
-                assert dim == dim_ref and np.array_equal(p, p_ref), (name, side)
+            for sub in subspaces:
+                p_ref, dim_ref = _support_projector(sigmas[sub.member_indices[0]])
+                assert sub.dim == dim_ref, (name, side)
+                assert np.max(np.abs(sub.projector - p_ref)) < 1e-12, (name, side)
+                compared += 1
+    assert compared > 300
 
 
 def broadcast_prod(sigmas):
