@@ -17,10 +17,11 @@ outputs, read as real vectors, gives every ||X||_F^2 = G_ii + G_jj - 2 G_ij;
 that expansion cancels near X = 0 and is off by up to (2 d_out^2 + 2) eps
 (G_ii + G_jj), each entry summing 2 d_out^2 products, so each square gets a
 slack of ``GRAM_SLACK`` d_out^2 eps (G_ii + G_jj). It only prunes, so slack
-costs work, never a verdict: the floor (the top pair's trace distance) and
-every candidate are eigenvalues of exact differences, in batches of
-``ENTRY_BUDGET`` entries, and the first maximum in (receiver probe, sender
-pair) row-major order wins. The scan reads the exact test's marginal.
+costs work, never a verdict. The top pair's difference x gives a floor with no
+LAPACK call, ||x||_1^2 >= 2 ||x||_F^2 - tr(x)^2 (equal for traceless 2x2 x). If
+other pairs reach it, x's trace distance is the floor, and the candidates are
+eigendecomposed in batches of ``ENTRY_BUDGET`` entries. The first maximum in
+(receiver probe, sender pair) row-major order wins.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -37,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import KrausChannel, _choi_vectors
-from .linalg import ATOL, BiDims, frobenius, is_unitary, operator_schmidt, trace_distance
+from .linalg import ATOL, BiDims, _trace_distance, frobenius, is_unitary, operator_schmidt
 
 B_TO_A = "BtoA"
 A_TO_B = "AtoB"
@@ -85,6 +86,14 @@ def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
     return marginal
 
 
+@lru_cache(maxsize=None)
+def _mixed_identity(d: int) -> np.ndarray:
+    """I/d as the (s, 1, 1, S, 1) factor of :func:`semicausal_test`, built once, read-only."""
+    factor = (np.eye(d) / d)[:, None, None, :, None]
+    factor.flags.writeable = False
+    return factor
+
+
 def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool:
     """Exact decision whether the channel blocks signaling along ``direction``.
 
@@ -93,24 +102,18 @@ def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool
     marginal's dimension.
     """
     t = _marginal(ch, direction)
-    d_send = t.shape[1]
     reduced = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :]  # (r, 1, o, R, 1, O)
-    expected = reduced * (np.eye(d_send) / d_send)[:, None, None, :, None]
+    expected = reduced * _mixed_identity(t.shape[1])
     return frobenius(t - expected) < tol * math.prod(t.shape[:3])
 
 
 def _receiver_output(kraus_stack: np.ndarray, dims: BiDims, direction: str,
                      phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    if direction == B_TO_A:
-        vec = np.einsum("i,j->ij", phi, psi).reshape(-1)
-    else:
-        vec = np.einsum("i,j->ij", psi, phi).reshape(-1)
-    out = kraus_stack @ vec
-    na, nb = dims
-    w = out.reshape(-1, na, nb)
-    if direction == B_TO_A:
-        return np.einsum("kab,kcb->ac", w, w.conj())
-    return np.einsum("kab,kac->bc", w, w.conj())
+    vec = np.multiply.outer(phi, psi) if direction == B_TO_A else np.multiply.outer(psi, phi)
+    w = (kraus_stack @ vec.reshape(-1)).reshape(-1, *dims)  # (k, out A, out B)
+    w = w.transpose(1, 0, 2) if direction == B_TO_A else w.transpose(2, 0, 1)
+    w = w.reshape(len(w), -1)  # (receiver, k * other)
+    return w @ w.conj().T
 
 
 @lru_cache(maxsize=None)
@@ -148,6 +151,12 @@ def _trace_distances(diffs: np.ndarray, d_out: int) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(diffs.reshape(-1, d_out, d_out))).sum(axis=-1)
 
 
+def _frobenius_floor(x: np.ndarray, d: int) -> float:
+    """``0.5 sqrt(2 ||X||_F^2 - tr(X)^2) <= ||X||_1 / 2`` for Hermitian X, flattened in ``x``."""
+    tr = x[::d + 1].real.sum()
+    return 0.5 * math.sqrt(max(2 * np.vdot(x, x).real - tr * tr, 0.0))
+
+
 def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     """Exhaustive scan for a signaling protocol along ``direction``.
 
@@ -175,21 +184,22 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
         bound = 0.5 * math.sqrt(d_out) * np.sqrt(np.maximum(scale - 2 * gram[:, first, second], 0)
                                                  + GRAM_SLACK * d_out ** 2 * EPS * scale)
         del gram, norms, scale  # 3 MB at 8x8, next to the batches
-        top = divmod(int(bound.argmax()), bound.shape[1])
-        floor = _trace_distances(out[top[0], first[top[1]]] - out[top[0], second[top[1]]],
-                                 d_out)[0]
-        rows, pairs = np.nonzero(bound >= floor * (1 - PRUNE_MARGIN))
-        step = ENTRY_BUDGET // d_out ** 2
-        batches = ((rows[i:i + step], pairs[i:i + step]) for i in range(0, len(rows), step))
-        dist = np.concatenate([_trace_distances(out[r, first[m]] - out[r, second[m]], d_out)
-                               for r, m in batches])
-        k = int(dist.argmax())
-        if dist[k] > 0:
-            p, q, q_alt = int(rows[k]), int(first[pairs[k]]), int(second[pairs[k]])
+        r0, m0 = divmod(int(bound.argmax()), bound.shape[1])
+        x = out[r0, first[m0]] - out[r0, second[m0]]
+        rows, pairs = np.nonzero(bound >= _frobenius_floor(x, d_out) * (1 - PRUNE_MARGIN))
+        k = 0  # a lone candidate is the maximum: no eigendecomposition
+        if len(rows) > 1:
+            keep = bound[rows, pairs] >= _trace_distances(x, d_out)[0] * (1 - PRUNE_MARGIN)
+            rows, pairs = rows[keep], pairs[keep]
+            step = ENTRY_BUDGET // d_out ** 2
+            batches = ((rows[i:i + step], pairs[i:i + step]) for i in range(0, len(rows), step))
+            k = int(np.concatenate([_trace_distances(out[r, first[m]] - out[r, second[m]], d_out)
+                                    for r, m in batches]).argmax())
+        p, q, q_alt = int(rows[k]), int(first[pairs[k]]), int(second[pairs[k]])
     stack = ch.stacked()
     phi, psi, psi_prime = recv[p].copy(), send[q].copy(), send[q_alt].copy()
-    separation = trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),
-                                _receiver_output(stack, ch.dims, direction, phi, psi_prime))
+    separation = _trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),
+                                 _receiver_output(stack, ch.dims, direction, phi, psi_prime))
     if separation <= SEARCH_THRESHOLD:
         return None
     return SignalWitness(direction, phi, psi, psi_prime, float(separation))

@@ -222,7 +222,12 @@ def operator_schmidt(
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Trace distance ``0.5 * ||rho - sigma||_1`` via Hermitian eigenvalues."""
-    diff = as_matrix(rho) - as_matrix(sigma)
+    return _trace_distance(as_matrix(rho), as_matrix(sigma))
+
+
+def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """:func:`trace_distance` for complex matrices the caller built, unchecked."""
+    diff = rho - sigma
     diff = (diff + dag(diff)) / 2
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 

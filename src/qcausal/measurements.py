@@ -32,6 +32,7 @@ from .linalg import (
     SUPPORT_CUTOFF,
     BiDims,
     _all_finite,
+    _trace_distance,
     alignment_unitary,
     as_vector,
     frobenius,
@@ -40,7 +41,6 @@ from .linalg import (
     mat_close,
     proj,
     tensor_product,
-    trace_distance,
 )
 
 
@@ -392,7 +392,7 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
         plain = _receiver_output(bras, t.sigmas, states[b_idx])
         for a_idx in np.nonzero(steerable[b_idx])[0]:
             u = alignment_unitary(states[b_idx], states[a_idx])
-            sep = trace_distance(plain, _receiver_output(bras, t.sigmas, u @ states[b_idx]))
+            sep = _trace_distance(plain, _receiver_output(bras, t.sigmas, u @ states[b_idx]))
             if sep > SEARCH_THRESHOLD:
                 return BasisWitness(side, b_idx, u, sep)
     return None

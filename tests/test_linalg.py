@@ -8,6 +8,7 @@ from qcausal.linalg import (
     PAULI_Z,
     HADAMARD,
     BiDims,
+    _trace_distance,
     alignment_unitary,
     frobenius,
     frobenius_norms,
@@ -144,6 +145,15 @@ def test_trace_distance_known_values():
     assert abs(trace_distance(proj([1, 0]), np.eye(2) / 2) - 0.5) < 1e-12
     assert abs(trace_distance(proj([1, 0]), proj([0, 1])) - 1.0) < 1e-12
     assert trace_distance(HADAMARD @ proj([1, 0]) @ HADAMARD, proj([1, 1] / np.sqrt(2))) < 1e-12
+
+
+def test_trace_distance_kernel_is_bit_identical():
+    """The unchecked kernel that the witness scans call equals the checked function."""
+    rng = np.random.default_rng(19)
+    for d in range(1, 9):
+        for _ in range(5):
+            rho, sigma = random_density_matrix(d, rng), random_density_matrix(d, rng)
+            assert _trace_distance(rho, sigma) == trace_distance(rho, sigma), d
 
 
 @st.composite

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from qcausal.causality import B_TO_A, SignalWitness, _ic_probes
 from qcausal.channels import KrausChannel, choi, choi_distance
 from qcausal.games import and_box_channel
 from qcausal.linalg import BiDims
 from qcausal.measurements import bell_basis, incomplete_bell_channel
+from qcausal.report import _serialize_search_witness
 from qcausal.serialize import (
     ParseError,
     basis_from_json,
@@ -31,6 +33,16 @@ def test_matrix_round_trip(rng):
 def test_vector_encodes_as_column():
     doc = matrix_to_json(np.array([1j, 2.0]))
     assert doc["rows"] == 2 and doc["cols"] == 1
+
+
+def test_search_witness_states_encode_as_matrix_to_json():
+    """The witness writes its probe states without matrix_to_json, byte for byte as it."""
+    for d in range(1, 9):
+        for v in _ic_probes(d)[0]:
+            doc = _serialize_search_witness(SignalWitness(B_TO_A, v.copy(), v.copy(), v.copy(), 0.5))
+            want = json.dumps(matrix_to_json(v.reshape(-1, 1)))
+            for key in ("receiverState", "senderState", "senderStateAlternative"):
+                assert json.dumps(doc[key]) == want, (d, key)
 
 
 def test_matrix_rejects_bad_documents():

@@ -19,6 +19,7 @@ from qcausal.causality import (
     A_TO_B,
     B_TO_A,
     SEARCH_THRESHOLD,
+    _frobenius_floor,
     _ic_probes,
     _marginal,
     _receiver_output,
@@ -27,6 +28,7 @@ from qcausal.causality import (
 )
 from qcausal.channels import KrausChannel, measurement_channel
 from qcausal.linalg import BiDims, haar_unitary, tensor_product, trace_distance
+from qcausal.measurements import haar_basis
 from qcausal.serialize import load_document
 from qcausal.twirl import bell_twirl
 
@@ -105,6 +107,15 @@ def test_search_matches_exhaustive_scan(near_causal_basis):
         ("controlled-2x3", _controlled_unitary(haar_unitary(3, rng))),
         ("bell-twirl", bell_twirl()),
         ("near-causal", measurement_channel(near_causal_basis)),
+        # Only the top pair reaches the Frobenius floor in both directions of the
+        # next four and B->A of kraus-2x3-k3; 6 pairs do in its A->B, and hundreds
+        # in each direction of kraus-4x4-k1.
+        ("kraus-2x2-k1", _random_kraus(BiDims(2, 2), 1, rng)),
+        ("kraus-2x2-k2", _random_kraus(BiDims(2, 2), 2, rng)),
+        ("kraus-2x2-k4", _random_kraus(BiDims(2, 2), 4, rng)),
+        ("kraus-2x3-k3", _random_kraus(BiDims(2, 3), 3, rng)),
+        ("haar-measurement-2x2", measurement_channel(haar_basis(BiDims(2, 2), rng))),
+        ("kraus-4x4-k1", _random_kraus(BiDims(4, 4), 1, rng)),
     ]
     for name, ch in channels:
         _assert_search_matches_reference(name, ch)
@@ -188,6 +199,43 @@ def test_search_eigendecomposes_fewer_than_half_of_the_pairs(monkeypatch):
         counted.clear()
         assert signaling_search(ch, direction) is not None
         assert sum(counted) < pairs / 2, (direction, sum(counted), pairs)
+
+
+def test_one_candidate_scan_eigendecomposes_only_the_replay(monkeypatch):
+    """On this 2x2 channel no pair but the top one reaches the Frobenius floor in
+    either direction, so the one eigvalsh call per direction is the replay's."""
+    ch = _random_kraus(BiDims(2, 2), 1, np.random.default_rng(1))
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for direction in (B_TO_A, A_TO_B):
+        shapes.clear()
+        assert signaling_search(ch, direction) is not None
+        assert shapes == [(2, 2)], (direction, shapes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(-9, 1), st.booleans(), st.floats(-1e-9, 1e-9),
+       st.integers(0, 2**32 - 1))
+def test_frobenius_floor_bounds_the_trace_distance(d, exponent, traceless, trace, seed):
+    """0.5 sqrt(2 ||X||_F^2 - tr(X)^2) never exceeds ||X||_1 / 2 beyond rounding,
+    for X traceless or with a trace within the trace-preservation tolerance, and
+    equals it for traceless 2x2 X (up to eigvalsh's own rounding: 5 ulps seen
+    in 600,000 draws, so 8 are allowed)."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = (z + z.conj().T) * 10.0 ** exponent
+    x -= (np.trace(x).real - (0.0 if traceless else trace)) / d * np.eye(d)
+    floor = _frobenius_floor(x.reshape(-1), d)
+    exact = 0.5 * np.abs(np.linalg.eigvalsh(x)).sum()
+    assert floor <= exact * (1 + 1e-12), (floor, exact)
+    if d == 2 and traceless:
+        assert abs(floor - exact) <= 8 * np.spacing(exact), (floor, exact)
 
 
 def test_probe_tables_are_cached_and_read_only():
