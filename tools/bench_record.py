@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_record.py --seed 23 --output BENCH_19.json
+    python3 tools/bench_record.py --seed 23 --output BENCH_<n>.json
 
 For each of the ``corpus`` and ``channels`` workloads this runs
 ``perfbench/run.py`` twice at the given seed, once untraced (``--trace 0``:
