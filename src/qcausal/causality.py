@@ -19,9 +19,9 @@ that expansion cancels near X = 0 and is off by up to (2 d_out^2 + 2) eps
 slack of ``GRAM_SLACK`` d_out^2 eps (G_ii + G_jj). It only prunes, so slack
 costs work, never a verdict. The top pair's difference x gives a floor with no
 LAPACK call, ||x||_1^2 >= 2 ||x||_F^2 - tr(x)^2 (equal for traceless 2x2 x). If
-other pairs reach it, x's trace distance is the floor, and the candidates are
-eigendecomposed in batches of ``ENTRY_BUDGET`` entries. The first maximum in
-(receiver probe, sender pair) row-major order wins.
+other pairs reach it and d_out > 2, x's trace distance is the floor. The
+candidates are eigendecomposed in batches of ``ENTRY_BUDGET`` entries. The
+first maximum in (receiver probe, sender pair) row-major order wins.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -86,14 +86,6 @@ def _marginal(ch: KrausChannel, direction: str) -> np.ndarray:
     return marginal
 
 
-@lru_cache(maxsize=None)
-def _mixed_identity(d: int) -> np.ndarray:
-    """I/d as the (s, 1, 1, S, 1) factor of :func:`semicausal_test`, built once, read-only."""
-    factor = (np.eye(d) / d)[:, None, None, :, None]
-    factor.flags.writeable = False
-    return factor
-
-
 def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool:
     """Exact decision whether the channel blocks signaling along ``direction``.
 
@@ -103,7 +95,7 @@ def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool
     """
     t = _marginal(ch, direction)
     reduced = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :]  # (r, 1, o, R, 1, O)
-    expected = reduced * _mixed_identity(t.shape[1])
+    expected = reduced * (np.eye(t.shape[1]) / t.shape[1])[:, None, None, :, None]
     return frobenius(t - expected) < tol * math.prod(t.shape[:3])
 
 
@@ -189,8 +181,9 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
         rows, pairs = np.nonzero(bound >= _frobenius_floor(x, d_out) * (1 - PRUNE_MARGIN))
         k = 0  # a lone candidate is the maximum: no eigendecomposition
         if len(rows) > 1:
-            keep = bound[rows, pairs] >= _trace_distances(x, d_out)[0] * (1 - PRUNE_MARGIN)
-            rows, pairs = rows[keep], pairs[keep]
+            if d_out > 2:  # at d_out <= 2 the first floor is exact for traceless x
+                keep = bound[rows, pairs] >= _trace_distances(x, d_out)[0] * (1 - PRUNE_MARGIN)
+                rows, pairs = rows[keep], pairs[keep]
             step = ENTRY_BUDGET // d_out ** 2
             batches = ((rows[i:i + step], pairs[i:i + step]) for i in range(0, len(rows), step))
             k = int(np.concatenate([_trace_distances(out[r, first[m]] - out[r, second[m]], d_out)

@@ -95,18 +95,13 @@ def _serialize_basis_witness(w: BasisWitness) -> dict:
     }
 
 
-def _probe_json(v) -> dict:
-    """``matrix_to_json(v.reshape(-1, 1))`` for a contiguous complex probe state."""
-    return {"rows": len(v), "cols": 1, "data": v.view(float).reshape(-1, 2).tolist()}
-
-
 def _serialize_search_witness(w: SignalWitness) -> dict:
     return {
         "kind": "pure-product-search",
         "direction": w.direction,
-        "receiverState": _probe_json(w.phi),
-        "senderState": _probe_json(w.psi),
-        "senderStateAlternative": _probe_json(w.psi_prime),
+        "receiverState": matrix_to_json(w.phi),
+        "senderState": matrix_to_json(w.psi),
+        "senderStateAlternative": matrix_to_json(w.psi_prime),
         "separation": w.separation,
     }
 

@@ -36,7 +36,7 @@ def test_vector_encodes_as_column():
 
 
 def test_search_witness_states_encode_as_matrix_to_json():
-    """The witness writes its probe states without matrix_to_json, byte for byte as it."""
+    """The witness writes each probe state as the column matrix_to_json makes of it."""
     for d in range(1, 9):
         for v in _ic_probes(d)[0]:
             doc = _serialize_search_witness(SignalWitness(B_TO_A, v.copy(), v.copy(), v.copy(), 0.5))

@@ -219,6 +219,24 @@ def test_one_candidate_scan_eigendecomposes_only_the_replay(monkeypatch):
         assert shapes == [(2, 2)], (direction, shapes)
 
 
+def test_tied_2x2_scan_needs_no_exact_floor(monkeypatch):
+    """On sorkin four pairs tie at the top in each direction. With d_out = 2 the
+    Frobenius floor is exact, so the scan makes one batched call and the replay."""
+    ch = _fixture("sorkin.json")
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for direction in (B_TO_A, A_TO_B):
+        shapes.clear()
+        assert signaling_search(ch, direction) is not None
+        assert shapes == [(4, 2, 2), (2, 2)], (direction, shapes)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8), st.integers(-9, 1), st.booleans(), st.floats(-1e-9, 1e-9),
        st.integers(0, 2**32 - 1))

@@ -9,9 +9,10 @@ For each of the ``corpus`` and ``channels`` workloads this runs
 the end-to-end metrics) and once traced (``--trace 1``: the per-layer
 metrics), reads the result files run.py writes under ``perfbench/out/``, and
 writes one JSON record: the commit (``git rev-parse HEAD``, and whether the
-working tree had changes), the seed, the run length, run.py's ``environment``
-block, and per workload whether every output checked correct, the calls
-attempted and failed, and both sets of metrics with their units. Uses the
+working tree had changes), the seed, the run length (``run_seconds`` of
+``BENCHMARK.json``), run.py's ``environment`` block, and per workload whether
+every output checked correct, the calls attempted and failed in both runs
+together, and both sets of metrics with their units. Uses the
 standard library only; the benchmark itself runs in its own processes.
 """
 
@@ -45,23 +46,23 @@ def run_benchmark(workload: str, seed: int, seconds: float, trace: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="length of each untraced run (default: 30, as BENCHMARK.json)")
     parser.add_argument("--output", required=True, help="the record to write, e.g. BENCH_<n>.json")
     args = parser.parse_args()
     if not os.path.isfile(os.path.join("perfbench", "run.py")):
         raise SystemExit("bench_record: run from the repository root")
+    with open("BENCHMARK.json", encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
 
     record = {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
-              "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+              "seed": args.seed, "seconds": seconds, "workloads": {}}
     for workload in WORKLOADS:
-        untraced = run_benchmark(workload, args.seed, args.seconds, 0)
-        traced = run_benchmark(workload, args.seed, args.seconds, 1)
+        untraced = run_benchmark(workload, args.seed, seconds, 0)
+        traced = run_benchmark(workload, args.seed, seconds, 1)
         record.setdefault("environment", untraced["environment"])
         record["workloads"][workload] = {
             "correct": untraced["ok"] and traced["ok"],
-            "attempted": untraced["attempted"],
-            "failed": untraced["failed"],
+            "attempted": untraced["attempted"] + traced["attempted"],
+            "failed": untraced["failed"] + traced["failed"],
             "end_to_end": untraced["metrics"],
             "per_layer": traced["metrics"],
         }
