@@ -21,7 +21,10 @@ costs work, never a verdict. The top pair's difference x gives a floor with no
 LAPACK call, ||x||_1^2 >= 2 ||x||_F^2 - tr(x)^2 (equal for traceless 2x2 x). If
 other pairs reach it and d_out > 2, x's trace distance is the floor. The
 candidates are eigendecomposed in batches of ``ENTRY_BUDGET`` entries. The
-first maximum in (receiver probe, sender pair) row-major order wins.
+first maximum in (receiver probe, sender pair) row-major order wins. The
+winner's separation is replayed on the Kraus operators; at d_out = 2 the
+replay takes the closed form of ``linalg._trace_distance``, so a 2x2 scan
+with one candidate makes no LAPACK call at all.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -38,7 +41,15 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import KrausChannel, _choi_vectors
-from .linalg import ATOL, BiDims, _trace_distance, frobenius, is_unitary, operator_schmidt
+from .linalg import (
+    ATOL,
+    BiDims,
+    _maximally_mixed,
+    _trace_distance,
+    frobenius,
+    is_unitary,
+    operator_schmidt,
+)
 
 B_TO_A = "BtoA"
 A_TO_B = "AtoB"
@@ -95,7 +106,7 @@ def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool
     """
     t = _marginal(ch, direction)
     reduced = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :]  # (r, 1, o, R, 1, O)
-    expected = reduced * (np.eye(t.shape[1]) / t.shape[1])[:, None, None, :, None]
+    expected = reduced * _maximally_mixed(t.shape[1])[:, None, None, :, None]
     return frobenius(t - expected) < tol * math.prod(t.shape[:3])
 
 

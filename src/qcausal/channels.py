@@ -11,7 +11,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import ATOL, BiDims, _all_finite, as_matrix, dag, frobenius
+from .linalg import ATOL, BiDims, _all_finite, _identity, as_matrix, dag, frobenius
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def validate(ch: KrausChannel, tol: float = ATOL) -> TPReport:
     """Check the trace-preservation condition ``sum_k M_k^dag M_k == I``."""
     ks = ch.stacked()
     acc = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
-    deviation = frobenius(acc - np.eye(ch.dim))
+    deviation = frobenius(acc - _identity(ch.dim))
     return TPReport(bool(deviation < tol), float(deviation))
 
 

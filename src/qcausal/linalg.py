@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +43,38 @@ class BiDims(NamedTuple):
             raise ValueError(f"dimensions must be >= 1, got {self}")
         if self.total != dim:
             raise ValueError(f"bipartition {self} does not match dimension {dim}")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# Constants that depend on a dimension only, built once per size and shared
+# read-only by every call of that size.
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The complex n x n identity."""
+    return _read_only(np.eye(n, dtype=complex))
+
+
+@functools.cache
+def _arange(n: int) -> np.ndarray:
+    """``np.arange(n)``: the indices 0 to n - 1."""
+    return _read_only(np.arange(n))
+
+
+@functools.cache
+def _upper_pairs(n: int) -> np.ndarray:
+    """The (n, n) boolean mask of the index pairs a < b (the strict upper triangle)."""
+    return _read_only(_arange(n)[:, None] < _arange(n))
+
+
+@functools.cache
+def _maximally_mixed(n: int) -> np.ndarray:
+    """The real n x n matrix I/n."""
+    return _read_only(np.eye(n) / n)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -226,8 +260,17 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def _trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """:func:`trace_distance` for complex matrices the caller built, unchecked."""
+    """:func:`trace_distance` for complex matrices the caller built, unchecked.
+
+    A 2x2 difference takes the closed form, with no LAPACK call: its Hermitian
+    part H has the eigenvalues m +- r, m = tr(H) / 2 and
+    r = hypot((h_00 - h_11) / 2, |h_01|), so ``0.5 * ||H||_1 = max(|m|, r)``.
+    """
     diff = rho - sigma
+    if diff.shape == (2, 2):
+        (a, b), (c, e) = diff.tolist()
+        m = (a.real + e.real) / 2
+        return max(abs(m), math.hypot((a.real - e.real) / 2, abs(b + c.conjugate()) / 2))
     diff = (diff + dag(diff)) / 2
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 

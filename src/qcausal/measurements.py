@@ -32,7 +32,10 @@ from .linalg import (
     SUPPORT_CUTOFF,
     BiDims,
     _all_finite,
+    _arange,
+    _identity,
     _trace_distance,
+    _upper_pairs,
     alignment_unitary,
     as_vector,
     frobenius,
@@ -75,7 +78,7 @@ class OrthogonalBasis:
         if not _all_finite(rows):
             raise ValueError("vector has non-finite entries")
         rows.flags.writeable = False
-        dev = frobenius(rows.conj() @ rows.T - np.eye(n))
+        dev = frobenius(rows.conj() @ rows.T - _identity(n))
         if dev > ATOL * n:
             raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.2e})")
         object.__setattr__(self, "_rows", rows)
@@ -181,8 +184,7 @@ def _pairwise_verdict(t: _PairTables, bar: float) -> BasisVerdict:
     """Every pair identical or orthogonal within ``bar``, else the first pair
     in row-major order that is neither."""
     n = len(t.diff)
-    above = np.arange(n)[:, None] < np.arange(n)
-    violating = (~((t.diff < bar) | (t.prod < bar)) & above).reshape(-1)
+    violating = (~((t.diff < bar) | (t.prod < bar)) & _upper_pairs(n)).reshape(-1)
     first = int(violating.argmax())
     if violating[first]:
         return BasisVerdict(False, divmod(first, n))
@@ -276,11 +278,11 @@ def _side_structure(basis: OrthogonalBasis, side: str, tol: float):
     u, coeffs, vh = _schmidt(basis)
     dims = (coeffs[leaders] ** 2 > SUPPORT_CUTOFF).sum(axis=1)
     frames = u[leaders] if side == "A" else vh[leaders].transpose(0, 2, 1)
-    frames = frames * (np.arange(n_side) < dims[:, None, None])  # the kept columns
+    frames = frames * (_arange(n_side) < dims[:, None, None])  # the kept columns
     projectors = frames @ frames.conj().transpose(0, 2, 1)
     residuals = frobenius_norms(t.sigmas[leaders] - projectors / dims[:, None, None], (1, 2))
     # every member's Schmidt coefficients against 1/sqrt(dim) on its group's dim
-    flat = np.where(np.arange(coeffs.shape[1]) < dims[:, None], 1 / np.sqrt(dims[:, None]), 0.0)
+    flat = np.where(_arange(coeffs.shape[1]) < dims[:, None], 1 / np.sqrt(dims[:, None]), 0.0)
     skewed = np.any(np.abs(coeffs - flat[labels]) > bar, axis=1)
     failed = (~(residuals < bar) | (np.bincount(labels) != n_other * dims)
               | (np.bincount(labels, skewed, len(groups)) > 0))
@@ -294,7 +296,7 @@ def _side_structure(basis: OrthogonalBasis, side: str, tol: float):
                              f"expected {n_other * dim}")
         raise ValueError(f"basis state {g[int(skewed[g].argmax())]} is not maximally entangled "
                          f"over its {dim}-dimensional subspace")
-    if not mat_close(projectors.sum(axis=0), np.eye(n_side), bar):
+    if not mat_close(projectors.sum(axis=0), _identity(n_side), bar):
         raise ValueError("subspace projectors do not resolve the identity")
     return groups, labels, dims, projectors
 

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,11 @@ from qcausal.linalg import (
     PAULI_Z,
     HADAMARD,
     BiDims,
+    _arange,
+    _identity,
+    _maximally_mixed,
     _trace_distance,
+    _upper_pairs,
     alignment_unitary,
     frobenius,
     frobenius_norms,
@@ -154,6 +160,72 @@ def test_trace_distance_kernel_is_bit_identical():
         for _ in range(5):
             rho, sigma = random_density_matrix(d, rng), random_density_matrix(d, rng)
             assert _trace_distance(rho, sigma) == trace_distance(rho, sigma), d
+
+
+def _exact_half_trace_norm(h):
+    """max(|m|, r) of a 2x2 Hermitian float matrix, in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, e = Decimal(h[0, 0].real), Decimal(h[1, 1].real)
+        b_re, b_im = Decimal(h[0, 1].real), Decimal(h[0, 1].imag)
+        r = (((a - e) / 2) ** 2 + b_re ** 2 + b_im ** 2).sqrt()
+        return float(max(abs((a + e) / 2), r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["general", "traceless", "diagonal", "zero", "scalar", "plus-minus"]),
+       st.floats(-12, 3), st.integers(0, 2**32 - 1))
+def test_2x2_closed_form_matches_eigvalsh(kind, exponent, seed):
+    """The 2x2 closed form against eigvalsh of the Hermitian part and against the
+    exact value of that part, on inputs with an anti-Hermitian part (which the
+    kernel drops), at scales 1e-12 to 1e3. eigvalsh is off by up to 9 ulps in
+    200,000 general draws; the closed form by at most 1.2 of the exact value."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    x = scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    anti = (x - x.conj().T) / 2
+    lam = scale * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
+    if kind == "traceless":
+        x = x - np.trace(x) / 2 * np.eye(2)
+    elif kind == "diagonal":
+        x = np.diag(np.diag(x))
+    elif kind == "zero":
+        x = np.zeros((2, 2), dtype=complex)
+    elif kind == "scalar":  # the degenerate lam I, eigenvalues lam and lam
+        x = lam * np.eye(2) + anti
+    elif kind == "plus-minus":  # eigenvalues lam and -lam in a random frame
+        u = haar_unitary(2, rng)
+        x = u @ np.diag([lam, -lam]) @ u.conj().T + anti
+    zero = np.zeros((2, 2), dtype=complex)
+    got = _trace_distance(x, zero)
+    assert got == trace_distance(x, zero)
+    h = (x + x.conj().T) / 2
+    eig = 0.5 * np.abs(np.linalg.eigvalsh(h)).sum()
+    assert abs(got - eig) <= 16 * np.spacing(eig), (kind, got, eig)
+    exact = _exact_half_trace_norm(h)
+    assert abs(got - exact) <= 2 * np.spacing(exact), (kind, got, exact)
+
+
+def test_trace_distance_checks_its_inputs():
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_distance(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
+    with pytest.raises(ValueError, match="expected a matrix"):
+        trace_distance(np.ones(2), np.eye(2))
+
+
+def test_dimension_constants_are_cached_and_read_only():
+    fresh = {_identity: lambda n: np.eye(n, dtype=complex),
+             _arange: np.arange,
+             _upper_pairs: lambda n: np.triu(np.ones((n, n), dtype=bool), 1),
+             _maximally_mixed: lambda n: np.eye(n) / n}
+    for build, reference in fresh.items():
+        for n in range(1, 65):
+            arr = build(n)
+            expected = reference(n)
+            assert arr.dtype == expected.dtype and np.array_equal(arr, expected), (build, n)
+            assert build(n) is arr and not arr.flags.writeable, (build, n)
+    with pytest.raises(ValueError):
+        _identity(3)[0, 0] = 2.0
 
 
 @st.composite

@@ -181,60 +181,62 @@ def test_marginal_is_built_once_per_direction_and_shared():
     assert _marginal(ch, B_TO_A) is not marginal
 
 
-def test_search_eigendecomposes_fewer_than_half_of_the_pairs(monkeypatch):
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shapes of the arrays passed to ``np.linalg.eigvalsh``, one per call."""
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return shapes
+
+
+def _scan_shapes(shapes, ch, direction):
+    shapes.clear()
+    assert signaling_search(ch, direction) is not None
+    return list(shapes)
+
+
+def test_search_eigendecomposes_fewer_than_half_of_the_pairs(eigvalsh_shapes):
     rng = np.random.default_rng(17)
     ch = KrausChannel((haar_unitary(16, rng),), BiDims(4, 4))
     n_probes = 16
     pairs = n_probes * n_probes * (n_probes - 1) // 2  # receiver probes x sender pairs
-    eigvalsh = np.linalg.eigvalsh
-    counted = []
-
-    def counting(a, *args, **kwargs):
-        a = np.asarray(a)
-        counted.append(int(np.prod(a.shape[:-2])))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for direction in (B_TO_A, A_TO_B):
-        counted.clear()
-        assert signaling_search(ch, direction) is not None
-        assert sum(counted) < pairs / 2, (direction, sum(counted), pairs)
+        counted = sum(int(np.prod(shape[:-2])) for shape in
+                      _scan_shapes(eigvalsh_shapes, ch, direction))
+        assert counted < pairs / 2, (direction, counted, pairs)
 
 
-def test_one_candidate_scan_eigendecomposes_only_the_replay(monkeypatch):
+def test_one_candidate_2x2_scan_makes_no_eigvalsh_call(eigvalsh_shapes):
     """On this 2x2 channel no pair but the top one reaches the Frobenius floor in
-    either direction, so the one eigvalsh call per direction is the replay's."""
+    either direction, and the replay takes the 2x2 closed form."""
     ch = _random_kraus(BiDims(2, 2), 1, np.random.default_rng(1))
-    eigvalsh = np.linalg.eigvalsh
-    shapes = []
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for direction in (B_TO_A, A_TO_B):
-        shapes.clear()
-        assert signaling_search(ch, direction) is not None
-        assert shapes == [(2, 2)], (direction, shapes)
+        assert _scan_shapes(eigvalsh_shapes, ch, direction) == [], direction
 
 
-def test_tied_2x2_scan_needs_no_exact_floor(monkeypatch):
+def test_tied_2x2_scan_needs_no_exact_floor(eigvalsh_shapes):
     """On sorkin four pairs tie at the top in each direction. With d_out = 2 the
-    Frobenius floor is exact, so the scan makes one batched call and the replay."""
+    Frobenius floor is exact and the replay takes the closed form, so the scan
+    makes one batched call, over the candidates."""
     ch = _fixture("sorkin.json")
-    eigvalsh = np.linalg.eigvalsh
-    shapes = []
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     for direction in (B_TO_A, A_TO_B):
-        shapes.clear()
-        assert signaling_search(ch, direction) is not None
-        assert shapes == [(4, 2, 2), (2, 2)], (direction, shapes)
+        assert _scan_shapes(eigvalsh_shapes, ch, direction) == [(4, 2, 2)], direction
+
+
+def test_tied_scan_at_d_out_3_keeps_floor_candidates_and_replay(eigvalsh_shapes):
+    """A controlled 3x3 unitary signals A->B with four pairs at the top. At
+    d_out = 3 the Frobenius floor is not exact, so the scan eigendecomposes the
+    exact floor, then the candidates, and the replay eigendecomposes its
+    separation; B->A has d_out = 2 and makes only the candidate call."""
+    ch = _controlled_unitary(haar_unitary(3, np.random.default_rng(2)))
+    assert _scan_shapes(eigvalsh_shapes, ch, A_TO_B) == [(1, 3, 3), (4, 3, 3), (3, 3)]
+    assert _scan_shapes(eigvalsh_shapes, ch, B_TO_A) == [(2, 2, 2)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,8 +259,18 @@ def test_frobenius_floor_bounds_the_trace_distance(d, exponent, traceless, trace
 
 
 def test_probe_tables_are_cached_and_read_only():
-    tables = _ic_probes(3)
-    assert _ic_probes(3) is tables
-    assert all(not arr.flags.writeable for arr in tables)
+    """Each dimension's probe tables equal a fresh construction, are read-only and
+    are the same objects on a second call."""
+    for d in range(1, 9):
+        tables = _ic_probes(d)
+        probes, projectors, first, second = tables
+        expected = _reference_probes(d)
+        assert np.array_equal(probes, expected), d
+        assert np.array_equal(projectors, np.einsum("pi,pj->pij", expected, expected.conj())
+                              .reshape(len(expected), -1)), d
+        i, j = np.triu_indices(len(expected), 1)
+        assert np.array_equal(first, i) and np.array_equal(second, j), d
+        assert _ic_probes(d) is tables
+        assert all(not arr.flags.writeable for arr in tables), d
     with pytest.raises(ValueError):
-        tables[0][0, 0] = 1.0
+        _ic_probes(3)[0][0, 0] = 1.0

@@ -4,16 +4,18 @@ Run from the repository root:
 
     python3 tools/bench_record.py --seed 23 --output BENCH_<n>.json
 
-For each of the ``corpus`` and ``channels`` workloads this runs
-``perfbench/run.py`` twice at the given seed, once untraced (``--trace 0``:
-the end-to-end metrics) and once traced (``--trace 1``: the per-layer
+For each of the ``corpus``, ``channels`` and ``desk-large`` workloads this
+runs ``perfbench/run.py`` twice at the given seed, once untraced (``--trace
+0``: the end-to-end metrics) and once traced (``--trace 1``: the per-layer
 metrics), reads the result files run.py writes under ``perfbench/out/``, and
 writes one JSON record: the commit (``git rev-parse HEAD``, and whether the
 working tree had changes), the seed, the run length (``run_seconds`` of
 ``BENCHMARK.json``), run.py's ``environment`` block, and per workload whether
-every output checked correct, the calls attempted and failed in both runs
-together, and both sets of metrics with their units. Uses the
-standard library only; the benchmark itself runs in its own processes.
+``BENCHMARK.json`` gates it (``desk-large``, the README's larger inputs, is
+recorded but not gated), whether every output checked correct, the calls
+attempted and failed in both runs together, and both sets of metrics with
+their units. Uses the standard library only; the benchmark itself runs in its
+own processes.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import os
 import subprocess
 import sys
 
-WORKLOADS = ("corpus", "channels")
+WORKLOADS = ("corpus", "channels", "desk-large")
 
 
 def git(*args: str) -> str:
@@ -51,7 +53,9 @@ def main() -> int:
     if not os.path.isfile(os.path.join("perfbench", "run.py")):
         raise SystemExit("bench_record: run from the repository root")
     with open("BENCHMARK.json", encoding="utf-8") as fh:
-        seconds = json.load(fh)["run_seconds"]
+        benchmark = json.load(fh)
+    seconds = benchmark["run_seconds"]
+    gated = {w["name"] for w in benchmark["workloads"]}
 
     record = {"commit": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
               "seed": args.seed, "seconds": seconds, "workloads": {}}
@@ -60,6 +64,7 @@ def main() -> int:
         traced = run_benchmark(workload, args.seed, seconds, 1)
         record.setdefault("environment", untraced["environment"])
         record["workloads"][workload] = {
+            "gated": workload in gated,
             "correct": untraced["ok"] and traced["ok"],
             "attempted": untraced["attempted"] + traced["attempted"],
             "failed": untraced["failed"] + traced["failed"],
