@@ -214,7 +214,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dump_document(obj, args.output)
+    try:
+        dump_document(obj, args.output)
+    except OSError as exc:  # a missing directory, or a directory given as the file
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.output}")
     return 0
 
@@ -234,11 +238,6 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(prog="qcausal",
                                      description="Classify bipartite quantum operations.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -273,31 +272,56 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
                          help="twisted-basis build: twist unitary")
     p_build.add_argument("-o", "--output", required=True)
     p_build.set_defaults(func=_cmd_build)
-    return parser, sub.choices
+    return parser
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers, built once per process; each parse fills a fresh namespace."""
-    return _build_parsers()
+def _parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process; each parse fills a fresh namespace."""
+    return build_parser()
+
+
+def _read_classify(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parse builds for ``classify PATH [--json] [--tol T]``.
+
+    Flags may come in any order and repeat, the last ``--tol`` winning. Any
+    other argv gives None: an option other than exactly ``--json`` or
+    ``--tol``, a ``--tol`` value that is missing, starts with a dash or fails
+    ``_tolerance``, a second positional, or no path.
+    """
+    if not argv or argv[0] != "classify":
+        return None
+    path, as_json, tol = None, False, ATOL
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            as_json = True
+        elif token == "--tol":
+            value = next(tokens, "-")  # a missing value reads as a dash
+            if value.startswith("-"):
+                return None
+            try:
+                tol = _tolerance(value)
+            except (ValueError, argparse.ArgumentTypeError):
+                return None
+        elif token.startswith("-") or path is not None:
+            return None
+        else:
+            path = token
+    if path is None:
+        return None
+    return argparse.Namespace(command="classify", path=path, json=as_json, tol=tol,
+                              func=_cmd_classify)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """``build_parser().parse_args(argv)``, with the same output and exits.
 
-    When ``argv[0]`` names a subcommand, its parser reads the rest directly,
-    as the top-level parse would after matching it, and leftover arguments
-    are reported through the top-level parser as there.
+    ``_read_classify`` reads the plain classify command lines; every other
+    argv, help and errors included, goes to the full parse.
     """
-    parser, commands = _parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.command = argv[0]
-    return args
+    args = _read_classify(argv)
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

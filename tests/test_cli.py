@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,12 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcausal
-from qcausal.cli import build_parser, main
+import qcausal.cli as cli
+from qcausal.cli import _parse, _read_classify, build_parser, main
 from qcausal.serialize import dump_document, load_document
 
 
@@ -292,13 +297,11 @@ def test_reused_parser_keeps_calls_independent(tmp_path, capsys, near_causal_bas
     assert outputs[2].startswith("input: basis")
 
 
-def _full_parse_main(argv):
+def _full_parse_main(monkeypatch, argv):
     """``main`` through the top-level parse, which nests into the subcommand's."""
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        return main(argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -308,14 +311,44 @@ def _full_parse_main(argv):
     ["classify", "-h", "--bogus"], ["frobnicate", "x.json"], ["demo"], ["demo", "nope"],
     ["demo", "ip", "--x", "1", "--y", "10"], ["demo", "chsh", "--seed", "1", "--bogus"],
     ["build", "bell-basis"],
+    # the classify reader's edge cases
+    ["classify", "--tol", "1e-6", "bell_basis.json"],
+    ["classify", "bell_basis.json", "--tol", "1e-6", "--json", "--tol", "1e-3"],
+    ["classify", "x.json", "--tol", "1e-6", "--tol", "0"],
+    ["classify", "--json", "bell_basis.json", "--json"], ["classify", "x.json", "--tol=1e-6"],
+    ["classify", "x.json", "--js"], ["classify", "--", "x.json"], ["classify", ""],
 ])
 def test_subcommand_dispatch_matches_full_parse(monkeypatch, capsys, argv):
-    # with --bogus the full parse reports through the top-level usage, unlike
-    # the subcommand's own parse_args
-    expected = (_full_parse_main(argv), *capsys.readouterr())
+    # the same exit code and printed text, whether main reads argv or sys.argv
+    expected = (_full_parse_main(monkeypatch, argv), *capsys.readouterr())
     assert (main(argv), *capsys.readouterr()) == expected
     monkeypatch.setattr(sys, "argv", ["qcausal", *argv])
     assert (main(), *capsys.readouterr()) == expected
+
+
+_ARGV_TOKENS = ["x.json", "", "a b.json", "-", "-x.json", "--json", "--js", "--tol",
+                "--tol=1e-6", "--", "-h", "1e-6", "1e-3", "2e-3", "0", "-1", "nan", "x"]
+
+
+def _parse_outcome(parse, argv):
+    """The namespace's fields, or the exit code and printed text of a refused argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=4))
+def test_classify_reader_matches_full_parse(tokens):
+    argv = ["classify", *tokens]
+    expected = _parse_outcome(build_parser().parse_args, argv)
+    read = _read_classify(argv)
+    if read is not None:
+        assert vars(read) == expected
+    assert _parse_outcome(_parse, argv) == expected
 
 
 def test_demo_chsh_values(capsys):
@@ -425,6 +458,17 @@ def test_build_invalid_args(tmp_path):
     assert main(["build", "stabilizer", "+XQ", "-o", str(tmp_path / "x.json")]) == 2
     for blank in ("", " "):
         assert main(["build", "stabilizer", blank, "-o", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_build_unwritable_output_exit_2(tmp_path, capsys, target):
+    out_path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    assert main(["build", "bell-basis", "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out_path}: ")
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bundled_fixtures_match_builders():
