@@ -286,8 +286,8 @@ def _read_classify(argv: list[str]) -> argparse.Namespace | None:
 
     Flags may come in any order and repeat, the last ``--tol`` winning. Any
     other argv gives None: an option other than exactly ``--json`` or
-    ``--tol``, a ``--tol`` value that is missing, starts with a dash or fails
-    ``_tolerance``, a second positional, or no path.
+    ``--tol``, a ``--tol`` value that is missing or fails ``_tolerance`` (as
+    every value starting with a dash does), a second positional, or no path.
     """
     if not argv or argv[0] != "classify":
         return None
@@ -297,12 +297,9 @@ def _read_classify(argv: list[str]) -> argparse.Namespace | None:
         if token == "--json":
             as_json = True
         elif token == "--tol":
-            value = next(tokens, "-")  # a missing value reads as a dash
-            if value.startswith("-"):
-                return None
             try:
-                tol = _tolerance(value)
-            except (ValueError, argparse.ArgumentTypeError):
+                tol = _tolerance(next(tokens))
+            except (StopIteration, ValueError, argparse.ArgumentTypeError):
                 return None
         elif token.startswith("-") or path is not None:
             return None

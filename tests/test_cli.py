@@ -328,6 +328,7 @@ def test_subcommand_dispatch_matches_full_parse(monkeypatch, capsys, argv):
 
 _ARGV_TOKENS = ["x.json", "", "a b.json", "-", "-x.json", "--json", "--js", "--tol",
                 "--tol=1e-6", "--", "-h", "1e-6", "1e-3", "2e-3", "0", "-1", "nan", "x"]
+_FULL_PARSER = build_parser()
 
 
 def _parse_outcome(parse, argv):
@@ -344,7 +345,7 @@ def _parse_outcome(parse, argv):
 @given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=4))
 def test_classify_reader_matches_full_parse(tokens):
     argv = ["classify", *tokens]
-    expected = _parse_outcome(build_parser().parse_args, argv)
+    expected = _parse_outcome(_FULL_PARSER.parse_args, argv)
     read = _read_classify(argv)
     if read is not None:
         assert vars(read) == expected
