@@ -41,7 +41,6 @@ from .linalg import (
     frobenius,
     frobenius_norms,
     haar_unitary,
-    mat_close,
     proj,
     tensor_product,
 )
@@ -240,21 +239,6 @@ def semicausal_basis_test(basis: OrthogonalBasis, side: str, tol: float = ATOL) 
     return _pair_tables(basis, side).verdict(_bar(basis, tol))
 
 
-def _group_by_equality(close: list[list[bool]]) -> tuple[list[list[int]], np.ndarray]:
-    """Indices grouped by the first earlier leader they are ``close`` to, and each one's group."""
-    groups, labels = [], []
-    for idx, row in enumerate(close):
-        for k, g in enumerate(groups):
-            if row[g[0]]:
-                g.append(idx)
-                labels.append(k)
-                break
-        else:
-            labels.append(len(groups))
-            groups.append([idx])
-    return groups, np.array(labels)
-
-
 def _schmidt(basis: OrthogonalBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Schmidt decomposition ``(u, s, vh)`` of every basis state, one batched SVD."""
     if "schmidt" not in basis._cache:
@@ -262,43 +246,58 @@ def _schmidt(basis: OrthogonalBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return basis._cache["schmidt"]
 
 
-def _side_structure(basis: OrthogonalBasis, side: str, tol: float):
-    """:func:`semicausal_structure`'s groups, with each basis state's group, and
-    each group's dim and projector: its leader's Schmidt frame on ``side``, cut
-    where the coefficient squared (a reduced-state eigenvalue) exceeds SUPPORT_CUTOFF."""
-    t = _pair_tables(basis, side)
+def _structure(basis: OrthogonalBasis, sides: tuple[str, ...], tol: float):
+    """:func:`semicausal_structure` of ``sides`` in one pass: each side's groups and
+    projectors (leaders' Schmidt frames cut at SUPPORT_CUTOFF), each state's group per
+    side (numbered on across sides) and each group's dim. Sides are checked in turn:
+    pairwise verdict, then each group's residual, member count and flatness, identity."""
     bar = _bar(basis, tol)
-    verdict = t.verdict(bar)
-    if not verdict.semicausal:
-        raise ValueError(f"basis fails the pairwise criterion on side {side} "
-                         f"at pair {verdict.violating_pair}")
-    n_side, n_other = basis.dims if side == "A" else basis.dims[::-1]
-    groups, labels = _group_by_equality((t.diff < bar).tolist())
-    leaders = np.array([g[0] for g in groups])
+    tables = [_pair_tables(basis, side) for side in sides]
+    grouped, labels = [], []  # each state joins the first earlier leader it is close to
+    for t in tables:
+        groups, start = [], sum(map(len, grouped))
+        for idx, row in enumerate((t.diff < bar).tolist()):
+            for k, g in enumerate(groups, start):
+                if row[g[0]]:
+                    g.append(idx)
+                    labels.append(k)
+                    break
+            else:
+                labels.append(start + len(groups))
+                groups.append([idx])
+        grouped.append(groups)
     u, coeffs, vh = _schmidt(basis)
-    dims = (coeffs[leaders] ** 2 > SUPPORT_CUTOFF).sum(axis=1)
-    frames = u[leaders] if side == "A" else vh[leaders].transpose(0, 2, 1)
-    frames = frames * (_arange(n_side) < dims[:, None, None])  # the kept columns
-    projectors = frames @ frames.conj().transpose(0, 2, 1)
-    residuals = frobenius_norms(t.sigmas[leaders] - projectors / dims[:, None, None], (1, 2))
-    # every member's Schmidt coefficients against 1/sqrt(dim) on its group's dim
+    leaders = [g[0] for groups in grouped for g in groups]
+    dims = (coeffs.take(leaders, 0) ** 2 > SUPPORT_CUTOFF).sum(axis=1)
+    # every state's Schmidt coefficients against 1/sqrt(dim) on its group's dim, per side
     flat = np.where(_arange(coeffs.shape[1]) < dims[:, None], 1 / np.sqrt(dims[:, None]), 0.0)
-    skewed = np.any(np.abs(coeffs - flat[labels]) > bar, axis=1)
-    failed = (~(residuals < bar) | (np.bincount(labels) != n_other * dims)
-              | (np.bincount(labels, skewed, len(groups)) > 0))
-    if failed.any():
-        k = int(failed.argmax())
-        g, dim = groups[k], int(dims[k])
-        if not residuals[k] < bar:
-            raise ValueError("reduced state is not a normalized subspace projector")
-        if len(g) != n_other * dim:
-            raise ValueError(f"subspace of dimension {dim} holds {len(g)} states, "
-                             f"expected {n_other * dim}")
-        raise ValueError(f"basis state {g[int(skewed[g].argmax())]} is not maximally entangled "
-                         f"over its {dim}-dimensional subspace")
-    if not mat_close(projectors.sum(axis=0), _identity(n_side), bar):
-        raise ValueError("subspace projectors do not resolve the identity")
-    return groups, labels, dims, projectors
+    skewed = np.abs(coeffs - flat.take(labels, 0).reshape(len(sides), *coeffs.shape)) > bar
+    projectors, dim_list, flat_everywhere = [], dims.tolist(), not skewed.any()
+    for i, (side, t, groups) in enumerate(zip(sides, tables, grouped)):
+        start = sum(map(len, grouped[:i]))
+        lead, dim = leaders[start:start + len(groups)], dims[start:start + len(groups), None, None]
+        frames = u.take(lead, 0) if side == "A" else vh.take(lead, 0).transpose(0, 2, 1)
+        frames = frames * (_arange(frames.shape[2]) < dim)  # the kept columns
+        p = frames @ frames.conj().transpose(0, 2, 1)
+        residuals = frobenius_norms(t.sigmas.take(lead, 0) - p / dim, (1, 2)).tolist()
+        verdict, n_other = t.verdict(bar), basis.dims[side == "A"]
+        if not verdict.semicausal:
+            raise ValueError(f"basis fails the pairwise criterion on side {side} "
+                             f"at pair {verdict.violating_pair}")
+        for g, dim, residual in zip(groups, dim_list[start:], residuals):
+            member = None if flat_everywhere else next((k for k in g if skewed[i, k].any()), None)
+            if not residual < bar:
+                raise ValueError("reduced state is not a normalized subspace projector")
+            if len(g) != n_other * dim:
+                raise ValueError(f"subspace of dimension {dim} holds {len(g)} states, "
+                                 f"expected {n_other * dim}")
+            if member is not None:
+                raise ValueError(f"basis state {member} is not maximally entangled "
+                                 f"over its {dim}-dimensional subspace")
+        if not frobenius(p.sum(axis=0) - _identity(p.shape[1])) < bar:
+            raise ValueError("subspace projectors do not resolve the identity")
+        projectors.append(p)
+    return grouped, labels, dim_list, projectors
 
 
 def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
@@ -308,11 +307,11 @@ def semicausal_structure(basis: OrthogonalBasis, side: str = "A",
     Requires the pairwise test to pass on ``side``. Verifies that each group's
     reduced state is the normalized subspace projector, that the group holds
     (other dim) * (subspace dim) members, and that every member is maximally
-    entangled between the subspace and the other factor. Each check runs over
-    all groups at once; the first group that fails one is reported.
+    entangled between the subspace and the other factor. The groups are checked
+    in order, and the first one that fails a check is reported.
     """
-    groups, _, dims, projectors = _side_structure(basis, side, tol)
-    return tuple(Subspace(p, int(dim), tuple(g)) for p, dim, g in zip(projectors, dims, groups))
+    (groups,), _, dims, (projectors,) = _structure(basis, (side,), tol)
+    return tuple(Subspace(p, dim, tuple(g)) for p, dim, g in zip(projectors, dims, groups))
 
 
 def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
@@ -321,7 +320,7 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     All subspaces on both sides share one cell dimension d; d must divide both
     local dimensions, and each (row, column) cell holds d**2 basis states that
     are maximally entangled across it. Inconsistent cell dimensions signal a
-    numerical failure, not a legal basis.
+    numerical failure, not a legal basis. Side A's structure is checked first.
 
     Frames: F_0 and E_0 are the Schmidt frames of the anchor, the member of
     cell (0, 0) with the largest |tr| of its (A, B) matrix. Row alpha takes
@@ -330,40 +329,41 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     (0, beta) pairs with F_0, and state k the unitary
     W_k = sqrt(d) F_alpha^dag M_k conj(E_beta).
     """
-    _, label_a, dims_a, _ = _side_structure(basis, "A", tol)
-    _, label_b, dims_b, _ = _side_structure(basis, "B", tol)
-    cell_dims = set(dims_a.tolist()) | set(dims_b.tolist())
+    (groups_a, groups_b), labels, dims, _ = _structure(basis, ("A", "B"), tol)
+    cell_dims = set(dims)
     if len(cell_dims) != 1:
         raise ValueError(f"inconsistent cell dimensions {sorted(cell_dims)}")
     d = cell_dims.pop()
-    r_a, r_b = len(dims_a), len(dims_b)
+    r_a, r_b = len(groups_a), len(groups_b)
     if r_a * d != basis.dims.dim_a or r_b * d != basis.dims.dim_b:
         raise ValueError("cell dimension does not divide the local dimensions")
-    cell_of = label_a * r_b + label_b
-    counts = np.bincount(cell_of, minlength=r_a * r_b)
-    if (counts != d * d).any():
-        raise ValueError(f"cell holds {counts[(counts != d * d).argmax()]} states, "
-                         f"expected {d * d}")
-    cells = np.argsort(cell_of, kind="stable").reshape(r_a, r_b, d * d)  # members ascending
+    # each state's cell, row-major (B's groups are numbered on from r_a); members ascending
+    cell_of = [a * r_b + b - r_a for a, b in zip(labels[:basis.size], labels[basis.size:])]
+    cells = [[] for _ in range(r_a * r_b)]
+    for k, cell in enumerate(cell_of):
+        cells[cell].append(k)
+    for members in cells:
+        if len(members) != d * d:
+            raise ValueError(f"cell holds {len(members)} states, expected {d * d}")
     states = basis._rows.reshape(-1, *basis.dims)
-    first = cells[0, 0]
-    anchor = first[np.abs(np.trace(states[first], axis1=1, axis2=2)).argmax()]
+    # a one-state cell is its own anchor
+    anchor = cells[0][np.abs(states.take(cells[0], 0).trace(0, 1, 2)).argmax() if d > 1 else 0]
     u, _, vh = _schmidt(basis)
     f0, e0 = u[anchor, :, :d], vh[anchor, :d].T
     root_d = np.sqrt(d)
-    rows = np.concatenate([f0[None], root_d * states[cells[1:, 0, 0]] @ e0.conj()])
-    cols = np.concatenate([e0[None],
-                           root_d * states[cells[0, 1:, 0]].transpose(0, 2, 1) @ f0.conj()])
+    firsts = root_d * states.take([members[0] for members in cells], 0)  # per cell
+    rows = np.concatenate([f0[None], firsts[r_b::r_b] @ e0.conj()])
+    cols = np.concatenate([e0[None], firsts[1:r_b].transpose(0, 2, 1) @ f0.conj()])
     # kron(F_alpha^dag, E_beta^dag) per cell, one matrix-vector product per state:
     # a one-cell grid then gives the per-vector extraction's unitaries bit for bit
     f_dag, e_dag = (t.conj().transpose(0, 2, 1) for t in (rows, cols))
     frames = (f_dag[:, None, :, None, :, None]
-              * e_dag[None, :, None, :, None, :]).reshape(r_a, r_b, d * d, -1)
-    unitaries = root_d * (frames[label_a, label_b] @ basis._rows[..., None]).reshape(-1, d, d)
+              * e_dag[None, :, None, :, None, :]).reshape(r_a * r_b, d * d, -1)
+    unitaries = root_d * (frames.take(cell_of, 0) @ basis._rows[..., None]).reshape(-1, d, d)
     for table in (rows, cols, unitaries):
         table.flags.writeable = False  # every localizability step reads the same grid
-    return CausalGrid(d, r_a, r_b, tuple(tuple(map(tuple, row)) for row in cells.tolist()),
-                      rows, cols, unitaries)
+    return CausalGrid(d, r_a, r_b, tuple(tuple(map(tuple, cells[a * r_b:(a + 1) * r_b]))
+                                         for a in range(r_a)), rows, cols, unitaries)
 
 
 def basis_signaling_witness(basis: OrthogonalBasis, side: str,
