@@ -351,7 +351,7 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     u, _, vh = _schmidt(basis)
     f0, e0 = u[anchor, :, :d], vh[anchor, :d].T
     root_d = np.sqrt(d)
-    firsts = root_d * states.take([members[0] for members in cells], 0)  # per cell
+    firsts = root_d * states.take([members[0] for members in cells], 0)  # each cell's first
     rows = np.concatenate([f0[None], firsts[r_b::r_b] @ e0.conj()])
     cols = np.concatenate([e0[None], firsts[1:r_b].transpose(0, 2, 1) @ f0.conj()])
     # kron(F_alpha^dag, E_beta^dag) per cell, one matrix-vector product per state:

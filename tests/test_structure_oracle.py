@@ -273,7 +273,8 @@ def _swapped_pair(basis, rng):
     i, j = rng.choice(len(rows), 2, replace=False)
     angle = rng.uniform(0, np.pi / 2)
     c, s = np.cos(angle), np.sin(angle)
-    rows[i], rows[j] = c * basis._rows[i] + s * basis._rows[j], c * basis._rows[j] - s * basis._rows[i]
+    a, b = basis._rows[i], basis._rows[j]
+    rows[i], rows[j] = c * a + s * b, c * b - s * a
     return OrthogonalBasis(rows, basis.dims)
 
 
