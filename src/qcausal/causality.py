@@ -200,10 +200,9 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
             k = int(np.concatenate([_trace_distances(out[r, first[m]] - out[r, second[m]], d_out)
                                     for r, m in batches]).argmax())
         p, q, q_alt = int(rows[k]), int(first[pairs[k]]), int(second[pairs[k]])
-    stack = ch.stacked()
     phi, psi, psi_prime = recv[p].copy(), send[q].copy(), send[q_alt].copy()
-    separation = _trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),
-                                 _receiver_output(stack, ch.dims, direction, phi, psi_prime))
+    separation = _trace_distance(_receiver_output(ch.kraus, ch.dims, direction, phi, psi),
+                                 _receiver_output(ch.kraus, ch.dims, direction, phi, psi_prime))
     if separation <= SEARCH_THRESHOLD:
         return None
     return SignalWitness(direction, phi, psi, psi_prime, float(separation))

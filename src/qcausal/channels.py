@@ -18,14 +18,13 @@ from .linalg import ATOL, BiDims, _all_finite, _identity, as_matrix, dag, froben
 class KrausChannel:
     """A quantum operation ``rho -> sum_k M_k rho M_k^dag`` on a bipartite space.
 
-    ``kraus`` is a sequence of operators or one (k, n, n) array; either way it
-    is copied once into a read-only stack, and ``kraus`` holds views of it.
-    ``_cache`` keeps tensors derived from it (``causality``'s Choi marginals).
+    ``kraus`` is given as a sequence of operators or one (k, n, n) array; either
+    way it is copied once into the read-only (k, n, n) stack that ``kraus`` then
+    holds. ``_cache`` keeps tensors derived from it (``causality``'s Choi marginals).
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     dims: BiDims
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -44,17 +43,12 @@ class KrausChannel:
         if not _all_finite(stack):
             raise ValueError("matrix has non-finite entries")
         stack.flags.writeable = False
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
+        object.__setattr__(self, "kraus", stack)
         object.__setattr__(self, "_cache", {})
 
     @property
     def dim(self) -> int:
         return self.dims.total
-
-    def stacked(self) -> np.ndarray:
-        """All Kraus operators as one read-only (k, n, n) array, built once."""
-        return self._stack
 
 
 class TPReport(NamedTuple):
@@ -78,7 +72,7 @@ class ChoiState:
 
 def validate(ch: KrausChannel, tol: float = ATOL) -> TPReport:
     """Check the trace-preservation condition ``sum_k M_k^dag M_k == I``."""
-    ks = ch.stacked()
+    ks = ch.kraus
     acc = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
     deviation = frobenius(acc - _identity(ch.dim))
     return TPReport(bool(deviation < tol), float(deviation))
@@ -89,13 +83,13 @@ def apply(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     mat = as_matrix(rho)
     if mat.shape != (ch.dim, ch.dim):
         raise ValueError(f"state shape {mat.shape} != ({ch.dim}, {ch.dim})")
-    ks = ch.stacked()
+    ks = ch.kraus
     return (ks @ mat @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_to_vector(ch: KrausChannel, psi: np.ndarray) -> np.ndarray:
     """Channel output on a pure-state input given as a vector."""
-    vecs = ch.stacked() @ np.asarray(psi, dtype=complex)
+    vecs = ch.kraus @ np.asarray(psi, dtype=complex)
     return np.einsum("ki,kj->ij", vecs, vecs.conj())
 
 
@@ -132,7 +126,7 @@ def _choi_vectors(ch: KrausChannel) -> np.ndarray:
     of one copy.
     """
     na, nb = ch.dims
-    return ch.stacked().reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
+    return ch.kraus.reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
 
 
 def choi(ch: KrausChannel) -> ChoiState:

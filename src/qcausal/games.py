@@ -97,13 +97,8 @@ class QuantumStrategy:
 
 def chsh_success_classical(s: ClassicalStrategy) -> float:
     """Fraction of the four input pairs with a_x XOR b_y == x AND y."""
-    wins = 0
-    for x, y in product((0, 1), repeat=2):
-        a = s.a1 if x else s.a0
-        b = s.b1 if y else s.b0
-        if (a ^ b) == (x & y):
-            wins += 1
-    return wins / 4
+    outputs = [2 * a + b for a, b in product((s.a0, s.a1), (s.b0, s.b1))]  # in (x, y) order
+    return float(_WINS[range(4), outputs].mean())
 
 
 def best_classical_value() -> tuple[float, ClassicalStrategy]:
@@ -159,19 +154,10 @@ def and_box_channel() -> KrausChannel:
     |10>, so the output bits always satisfy a XOR b = x AND y while each
     marginal stays maximally mixed.
     """
-    outputs = {
-        (0, 0): [(0, 0), (1, 1)],
-        (0, 1): [(0, 0), (1, 1)],
-        (1, 0): [(0, 0), (1, 1)],
-        (1, 1): [(0, 1), (1, 0)],
-    }
-    kraus = []
-    for (x, y), outs in outputs.items():
-        ket_in = basis_vector(4, 2 * x + y)
-        for a, b in outs:
-            ket_out = basis_vector(4, 2 * a + b)
-            kraus.append(np.outer(ket_out, ket_in.conj()) / np.sqrt(2))
-    return KrausChannel(tuple(kraus), BiDims(2, 2))
+    inputs, outputs = np.nonzero(_WINS)  # one Kraus operator |ab><xy| / sqrt(2) per win
+    kraus = np.zeros((len(inputs), 4, 4), dtype=complex)
+    kraus[range(len(inputs)), outputs, inputs] = 1 / np.sqrt(2)
+    return KrausChannel(kraus, BiDims(2, 2))
 
 
 def channel_game_value(ch: KrausChannel) -> float:
@@ -184,8 +170,7 @@ def channel_game_value(ch: KrausChannel) -> float:
     """
     if ch.dims != BiDims(2, 2):
         raise ValueError("the game is defined for two-qubit channels")
-    ks = ch.stacked()
-    probs = (ks.real ** 2 + ks.imag ** 2).sum(axis=0).T  # [xy, ab]
+    probs = (ch.kraus.real ** 2 + ch.kraus.imag ** 2).sum(axis=0).T  # [xy, ab]
     # Summed one term at a time, inputs outer and outputs inner, as the
     # enumeration over inputs and outcomes adds them.
     return float(np.cumsum(probs[_WINS])[-1] / 4)

@@ -142,7 +142,8 @@ def extract_unitaries(grid: CausalGrid) -> np.ndarray:
 
     They are the cell unitaries of its one-cell causal grid
     (:func:`causal_structure`), a read-only (n, d, d) stack in basis order,
-    the anchor's the identity.
+    the anchor's the identity. Their trace-orthogonality is the premise that
+    :func:`projective_group_test` checks.
     """
     if grid.r_a != 1 or grid.r_b != 1:
         raise ValueError(f"basis is not maximally entangled ({grid.r_a} x {grid.r_b} "
@@ -152,14 +153,7 @@ def extract_unitaries(grid: CausalGrid) -> np.ndarray:
     unitary = deviations < 1e-8 * d
     if not unitary.all():
         raise ValueError(f"extracted operator {int(np.argmin(unitary))} is not unitary")
-    if frobenius(_gram(stack) - d * np.eye(d * d)) > 1e-7 * d * d:
-        raise ValueError("extracted unitaries violate the trace-orthogonality condition")
     return stack
-
-
-def _gram(stack: np.ndarray) -> np.ndarray:
-    """The table tr(U_i^dag U_j) of a (n, d, d) stack of operators."""
-    return np.einsum("iab,jab->ij", stack.conj(), stack)
 
 
 def projective_group_test(stack: np.ndarray,
@@ -174,7 +168,8 @@ def projective_group_test(stack: np.ndarray,
     identity member.
     """
     n, d = len(stack), stack.shape[1]
-    if frobenius(_gram(stack) - d * np.eye(n)) > 1e-7 * d * n:
+    gram = np.einsum("iab,jab->ij", stack.conj(), stack)  # tr(U_i^dag U_j)
+    if frobenius(gram - d * np.eye(n)) > 1e-7 * d * n:
         raise PreconditionError("unitaries violate the trace-orthogonality condition")
     if not np.any(np.abs(np.trace(stack, axis1=1, axis2=2)) > d - 1e-7):
         raise PreconditionError("no member is proportional to the identity")
@@ -233,7 +228,7 @@ def closure_obstruction_search(basis: OrthogonalBasis, grid: CausalGrid,
     with its two local moves to :func:`eigenstate_closure_test`, which checks
     every premise on the measurement channel and returns the certificate.
     """
-    ch, states, w = None, basis._rows.reshape(-1, *basis.dims), grid.unitaries
+    ch, states, w = None, basis.vectors.reshape(-1, *basis.dims), grid.unitaries
     for alpha in range(1, grid.r_a):
         for beta in range(1, grid.r_b):
             src, dst_a, dst_b, cell = (list(grid.cells[r][c]) for r, c in

@@ -50,15 +50,14 @@ from .linalg import (
 class OrthogonalBasis:
     """An ordered orthonormal basis of a bipartite space.
 
-    The vectors, a sequence or one (n, n) array whose row k is vector k, are
-    copied once into a read-only (n, n) array; ``vectors`` holds views of its
-    rows. Tables derived from them (projectors, reduced states, pair norms,
+    The vectors, given as a sequence or one (n, n) array whose row k is vector
+    k, are copied once into the read-only (n, n) array that ``vectors`` then
+    holds. Tables derived from them (projectors, reduced states, pair norms,
     Schmidt coefficients) are computed on first use and kept with the instance.
     """
 
-    vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
     dims: BiDims
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _cache: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -80,8 +79,7 @@ class OrthogonalBasis:
         dev = frobenius(rows.conj() @ rows.T - _identity(n))
         if dev > ATOL * n:
             raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.2e})")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "vectors", tuple(rows))
+        object.__setattr__(self, "vectors", rows)
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -91,7 +89,7 @@ class OrthogonalBasis:
     def projectors(self) -> np.ndarray:
         """The projectors |k><k| as one read-only (n, n, n) array, built once."""
         if "projectors" not in self._cache:
-            rows = self._rows
+            rows = self.vectors
             stack = self._cache["projectors"] = rows[:, :, None] * rows.conj()[:, None, :]
             stack.flags.writeable = False
         return self._cache["projectors"]
@@ -242,7 +240,7 @@ def semicausal_basis_test(basis: OrthogonalBasis, side: str, tol: float = ATOL) 
 def _schmidt(basis: OrthogonalBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Schmidt decomposition ``(u, s, vh)`` of every basis state, one batched SVD."""
     if "schmidt" not in basis._cache:
-        basis._cache["schmidt"] = np.linalg.svd(basis._rows.reshape(-1, *basis.dims))
+        basis._cache["schmidt"] = np.linalg.svd(basis.vectors.reshape(-1, *basis.dims))
     return basis._cache["schmidt"]
 
 
@@ -345,7 +343,7 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     for members in cells:
         if len(members) != d * d:
             raise ValueError(f"cell holds {len(members)} states, expected {d * d}")
-    states = basis._rows.reshape(-1, *basis.dims)
+    states = basis.vectors.reshape(-1, *basis.dims)
     # a one-state cell is its own anchor
     anchor = cells[0][np.abs(states.take(cells[0], 0).trace(0, 1, 2)).argmax() if d > 1 else 0]
     u, _, vh = _schmidt(basis)
@@ -359,7 +357,7 @@ def causal_structure(basis: OrthogonalBasis, tol: float = ATOL) -> CausalGrid:
     f_dag, e_dag = (t.conj().transpose(0, 2, 1) for t in (rows, cols))
     frames = (f_dag[:, None, :, None, :, None]
               * e_dag[None, :, None, :, None, :]).reshape(r_a * r_b, d * d, -1)
-    unitaries = root_d * (frames.take(cell_of, 0) @ basis._rows[..., None]).reshape(-1, d, d)
+    unitaries = root_d * (frames.take(cell_of, 0) @ basis.vectors[..., None]).reshape(-1, d, d)
     for table in (rows, cols, unitaries):
         table.flags.writeable = False  # every localizability step reads the same grid
     return CausalGrid(d, r_a, r_b, tuple(tuple(map(tuple, cells[a * r_b:(a + 1) * r_b]))
@@ -386,7 +384,7 @@ def basis_signaling_witness(basis: OrthogonalBasis, side: str,
         raise ValueError(f"basis passes the pairwise criterion on side {side}; no witness exists")
     steerable, candidates = _witness_candidates(t, bar)
     # every basis state as a matrix whose row index is the sender's
-    states = basis._rows.reshape(-1, *basis.dims)
+    states = basis.vectors.reshape(-1, *basis.dims)
     if side == "A":
         states = np.ascontiguousarray(states.transpose(0, 2, 1))
     bras = states.reshape(basis.size, -1).conj()

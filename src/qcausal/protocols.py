@@ -28,13 +28,12 @@ from .linalg import (
     is_unitary,
     tensor_product,
 )
-from .measurements import OrthogonalBasis, Subspace, bell_states, semicausal_structure
+from .measurements import OrthogonalBasis, Subspace, _blocks, bell_states, semicausal_structure
 
 
 def branch_weights(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """The probability ``tr(K rho K^dag)`` of each branch on the input ``rho``."""
-    ks = ch.stacked()
-    weights = np.einsum("kij,kij->k", ks @ as_matrix(rho), ks.conj()).real
+    weights = np.einsum("kij,kij->k", ch.kraus @ as_matrix(rho), ch.kraus.conj()).real
     return np.clip(weights, 0.0, None)
 
 
@@ -76,7 +75,7 @@ def semilocal_channel(basis: OrthogonalBasis) -> KrausChannel:
     outcomes = range(basis.size)
     phi = np.stack([pairs[alpha_of[a]] for a in outcomes])  # (k, A', P)
     p = np.stack([subspaces[alpha_of[a]].projector for a in outcomes])  # (k, R, A)
-    states = np.stack(basis.vectors).reshape(-1, na, nb)
+    states = basis.vectors.reshape(-1, na, nb)
     # the stock pair and basis state a, as (A, B) matrices, have the same reduced
     # state on A, so the alignment unitary on the second index turns one into the other
     v = np.stack([alignment_unitary(phi[a].T, states[a].T) for a in outcomes])  # (k, B', P)
@@ -173,13 +172,6 @@ def entanglement_swap_channel() -> KrausChannel:
 # ---------------------------------------------------------------------------
 
 
-def _quadrant_projectors() -> list[np.ndarray]:
-    p = np.zeros((2, 4, 4), dtype=complex)
-    p[0, :2, :2] = np.eye(2)
-    p[1, 2:, 2:] = np.eye(2)
-    return [p[0], p[1]]
-
-
 def twisted_partition_protocol_kraus(u_b: np.ndarray) -> KrausChannel:
     """Branch-averaged channel of the one-way classical quadrant protocol.
 
@@ -191,7 +183,8 @@ def twisted_partition_protocol_kraus(u_b: np.ndarray) -> KrausChannel:
     u_b = as_matrix(u_b)
     if not is_unitary(u_b) or u_b.shape != (2, 2):
         raise ValueError("u_b must be a 2x2 unitary")
-    blocks = _quadrant_projectors()
+    quadrants = _blocks(4, 2)
+    blocks = quadrants @ quadrants.transpose(0, 2, 1)  # each side's two block projectors
     kraus = []
     for alpha in range(2):
         for beta in range(2):

@@ -109,87 +109,61 @@ def _real_pairs(arr: np.ndarray) -> np.ndarray:
     return arr.astype(float)
 
 
-def channel_to_json(ch) -> dict[str, Any]:
-    return {
-        "dimA": ch.dims.dim_a,
-        "dimB": ch.dims.dim_b,
-        "kraus": [matrix_to_json(k) for k in ch.kraus],
-    }
-
-
-def channel_from_json(doc: dict[str, Any]):
+def document_to_json(obj) -> dict[str, Any]:
+    """The JSON object of a channel (its ``kraus`` operators) or a basis (its ``vectors``)."""
     from .channels import KrausChannel
-
-    try:
-        dims = BiDims(_integer(doc, "dimA"), _integer(doc, "dimB"))
-        kraus_docs = doc["kraus"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed channel object: {exc}") from exc
-    if not isinstance(kraus_docs, list):
-        raise ParseError(f"'kraus' must be a list, got {type(kraus_docs).__name__}")
-    if not kraus_docs:
-        raise ParseError("channel needs at least one Kraus operator")
-    kraus = _matrices_from_json(kraus_docs)
-    try:
-        return KrausChannel(kraus, dims)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def basis_to_json(basis) -> dict[str, Any]:
-    return {
-        "dimA": basis.dims.dim_a,
-        "dimB": basis.dims.dim_b,
-        "vectors": [matrix_to_json(v.reshape(-1, 1)) for v in basis.vectors],
-    }
-
-
-def basis_from_json(doc: dict[str, Any]):
     from .measurements import OrthogonalBasis
 
+    if isinstance(obj, KrausChannel):
+        key, mats = "kraus", obj.kraus
+    elif isinstance(obj, OrthogonalBasis):
+        key, mats = "vectors", obj.vectors  # each vector a single-column matrix
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return {"dimA": obj.dims.dim_a, "dimB": obj.dims.dim_b,
+            key: [matrix_to_json(m) for m in mats]}
+
+
+def document_from_json(doc: Any):
+    """The channel or basis a JSON value encodes, told apart by its key: a
+    "kraus" key selects the channel format, a "vectors" key the basis format."""
+    from .channels import KrausChannel
+    from .measurements import OrthogonalBasis
+
+    if not isinstance(doc, dict):
+        raise ParseError("top-level JSON value must be an object")
+    if "kraus" in doc:
+        key, kind, cls = "kraus", "channel", KrausChannel
+    elif "vectors" in doc:
+        key, kind, cls = "vectors", "basis", OrthogonalBasis
+    else:
+        raise ParseError("object is neither a channel ('kraus') nor a basis ('vectors')")
     try:
         dims = BiDims(_integer(doc, "dimA"), _integer(doc, "dimB"))
-        vec_docs = doc["vectors"]
+        entries = doc[key]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"malformed basis object: {exc}") from exc
-    if not isinstance(vec_docs, list):
-        raise ParseError(f"'vectors' must be a list, got {type(vec_docs).__name__}")
-    vectors = _matrices_from_json(vec_docs, column=True)
+        raise ParseError(f"malformed {kind} object: {exc}") from exc
+    if not isinstance(entries, list):
+        raise ParseError(f"'{key}' must be a list, got {type(entries).__name__}")
+    mats = _matrices_from_json(entries, column=cls is OrthogonalBasis)
     try:
-        return OrthogonalBasis(vectors, dims)
+        return cls(mats, dims)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
 def load_document(path: str):
-    """Load a channel or basis from a JSON file, auto-detected by shape.
-
-    A "kraus" key selects the channel format, a "vectors" key the basis format.
-    """
+    """Load a channel or basis from a JSON file (:func:`document_from_json`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
-    if "kraus" in doc:
-        return channel_from_json(doc)
-    if "vectors" in doc:
-        return basis_from_json(doc)
-    raise ParseError("object is neither a channel ('kraus') nor a basis ('vectors')")
+    return document_from_json(doc)
 
 
 def dump_document(obj, path: str) -> None:
-    from .channels import KrausChannel
-    from .measurements import OrthogonalBasis
-
-    if isinstance(obj, KrausChannel):
-        doc = channel_to_json(obj)
-    elif isinstance(obj, OrthogonalBasis):
-        doc = basis_to_json(obj)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    doc = document_to_json(obj)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -139,6 +139,28 @@ def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel
     return KrausChannel(kraus.reshape(-1, basis.dims.total, basis.dims.total), basis.dims)
 
 
+def _stabilizer_dims(generators: Sequence[PauliString], dims: BiDims | None) -> BiDims:
+    """Check that the generators are commuting Pauli strings on n qubits, at most n
+    of them, and that ``dims`` covers the n qubits; return ``dims``, by default the
+    first qubit split off."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    n = generators[0].n_qubits
+    if any(g.n_qubits != n for g in generators):
+        raise ValueError("generators act on different qubit counts")
+    for i, g in enumerate(generators):
+        for h in generators[i + 1:]:
+            if not g.commutes_with(h):
+                raise ValueError(f"generators {g} and {h} do not commute")
+    if len(generators) > n:
+        raise ValueError("generators are dependent")
+    if dims is None:
+        dims = BiDims(2, 2 ** (n - 1))
+    if dims.total != 2 ** n:
+        raise ValueError(f"bipartition {dims} does not cover {n} qubits")
+    return dims
+
+
 def stabilizer_channel(generators: Sequence[PauliString],
                        dims: BiDims | None = None) -> KrausChannel:
     """Projection onto the joint eigenspaces of commuting, independent generators.
@@ -152,43 +174,31 @@ def stabilizer_channel(generators: Sequence[PauliString],
     iff a product of some of them is +-I, which empties every sign pattern
     that contradicts that product: fewer than 2**k projectors are nonzero.
     """
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].n_qubits
-    if any(g.n_qubits != n for g in generators):
-        raise ValueError("generators act on different qubit counts")
-    for i, g in enumerate(generators):
-        for h in generators[i + 1:]:
-            if not g.commutes_with(h):
-                raise ValueError(f"generators {g} and {h} do not commute")
-    if len(generators) > n:
-        raise ValueError("generators are dependent")
-    dim = 2 ** n
+    dims = _stabilizer_dims(generators, dims)
     mats = [g.to_matrix() for g in generators]
     kraus = []
     for pattern in range(2 ** len(mats)):
-        p = np.eye(dim, dtype=complex)
+        p = np.eye(dims.total, dtype=complex)
         for k, mat in enumerate(mats):
             sign = 1.0 if (pattern >> k) & 1 == 0 else -1.0
-            p = p @ (np.eye(dim) + sign * mat) / 2
+            p = p @ (np.eye(dims.total) + sign * mat) / 2
         if frobenius(p) > ATOL:
             kraus.append(p)
     if len(kraus) < 2 ** len(mats):
         raise ValueError("generators are dependent")
-    if dims is None:
-        dims = BiDims(2, 2 ** (n - 1))
-    if dims.total != dim:
-        raise ValueError(f"bipartition {dims} does not cover {n} qubits")
     return KrausChannel(tuple(kraus), dims)
 
 
 def stabilizer_twirl(generators: Sequence[PauliString],
                      dims: BiDims | None = None) -> KrausChannel:
-    """The same operation built the other way: twirl over the generated group."""
-    n = generators[0].n_qubits
-    if dims is None:
-        dims = BiDims(2, 2 ** (n - 1))
+    """The same operation built the other way: twirl over the generated group.
+
+    Modulo phase the k generators generate 2**k elements iff they are independent.
+    """
+    dims = _stabilizer_dims(generators, dims)
     group = close_group([g.to_matrix() for g in generators], max_order=2 ** len(generators))
+    if len(group) < 2 ** len(generators):
+        raise ValueError("generators are dependent")
     return twirl_channel(group, dims)
 
 

@@ -296,7 +296,7 @@ def _two_copy_marginal(ch, direction):
     """The marginal as built from the flattened Choi vectors, reshaped to five
     indices again: the same index permutation, through one more copy."""
     na, nb = ch.dims
-    v = ch.stacked().reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
+    v = ch.kraus.reshape(-1, na, nb, na, nb).transpose(0, 3, 1, 2, 4)
     t = v.reshape(len(ch.kraus), -1).reshape(-1, na, na, nb, nb)
     x = t.transpose(0, 3, 1, 4, 2) if direction == B_TO_A else t.transpose(0, 2, 4, 1, 3)
     shape = x.shape[2:]

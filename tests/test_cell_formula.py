@@ -38,7 +38,7 @@ def _rebuild_error(basis) -> float:
     for alpha, beta in itertools.product(range(grid.r_a), range(grid.r_b)):
         members = list(grid.cells[alpha][beta])
         rebuilt = cell_states(grid.rows[alpha], grid.unitaries[members], grid.cols[beta])
-        worst = max(worst, float(np.abs(rebuilt - basis._rows[members]).max()))
+        worst = max(worst, float(np.abs(rebuilt - basis.vectors[members]).max()))
     return worst
 
 
@@ -165,7 +165,7 @@ def test_grid_matches_loop_oracle_bytes():
         for d in range(1, min(na, nb) + 1):
             if na % d == 0 and nb % d == 0:
                 dims = BiDims(na, nb)
-                got = causal_grid_basis(dims, d)._rows
+                got = causal_grid_basis(dims, d).vectors
                 assert got.tobytes() == _grid_oracle(dims, d).tobytes(), (na, nb, d)
 
 
@@ -175,21 +175,21 @@ def test_rotated_grid_matches_rotated_oracle_bytes():
         rng = np.random.default_rng(7)
         full = tensor_product(haar_unitary(dims.dim_a, rng), haar_unitary(dims.dim_b, rng))
         expected = np.stack([full @ v for v in _grid_oracle(dims, d)])
-        assert got._rows.tobytes() == expected.tobytes()
+        assert got.vectors.tobytes() == expected.tobytes()
 
 
 def test_partition_matches_loop_oracle_bytes():
     for na, nb in itertools.product(range(1, 7), repeat=2):
         for parts in _compositions(na, nb):
             dims = BiDims(na, nb)
-            got = semicausal_partition_basis(dims, parts)._rows
+            got = semicausal_partition_basis(dims, parts).vectors
             assert got.tobytes() == _partition_oracle(dims, parts).tobytes(), (na, nb, parts)
 
 
 def test_product_basis_matches_identity_columns_bytes():
     for na, nb in itertools.product(range(1, 6), repeat=2):
         eye = np.eye(na * nb, dtype=complex)
-        assert product_basis(BiDims(na, nb))._rows.tobytes() == eye.tobytes()
+        assert product_basis(BiDims(na, nb)).vectors.tobytes() == eye.tobytes()
 
 
 def test_bell_states_match_literal_bytes():
@@ -201,7 +201,7 @@ def test_twisted_basis_matches_embedding_oracle_bytes():
     twists = [np.eye(2, dtype=complex), HADAMARD, PAULI_X]
     twists += [haar_unitary(2, rng) for _ in range(10)]
     for u_b in twists:
-        assert twisted_partition_basis(u_b)._rows.tobytes() == _twisted_oracle(u_b).tobytes()
+        assert twisted_partition_basis(u_b).vectors.tobytes() == _twisted_oracle(u_b).tobytes()
 
 
 def test_me_basis_matches_kron_oracle_bytes():
@@ -211,5 +211,5 @@ def test_me_basis_matches_kron_oracle_bytes():
         cases.append([np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
                       for a in range(d) for b in range(d)])
     for unitaries in cases:
-        got = me_basis_from_unitaries(unitaries)._rows
+        got = me_basis_from_unitaries(unitaries).vectors
         assert got.tobytes() == _me_oracle(unitaries).tobytes()

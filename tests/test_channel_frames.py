@@ -45,14 +45,14 @@ def _gauge(ch, rng):
     """The operators mixed by a random isometry onto up to two more of them."""
     k = len(ch.kraus)
     mix = haar_unitary(k + int(rng.integers(0, 3)), rng)[:, :k]
-    return KrausChannel(np.einsum("ji,iab->jab", mix, ch.stacked()), ch.dims)
+    return KrausChannel(np.einsum("ji,iab->jab", mix, ch.kraus), ch.dims)
 
 
 def _local_frames(ch, rng):
     """The channel between random local unitaries before and after."""
     na, nb = ch.dims
     before, after = (np.kron(haar_unitary(na, rng), haar_unitary(nb, rng)) for _ in range(2))
-    return KrausChannel(after @ ch.stacked() @ before, ch.dims)
+    return KrausChannel(after @ ch.kraus @ before, ch.dims)
 
 
 def _swap_parties(ch):
@@ -60,7 +60,7 @@ def _swap_parties(ch):
     na, nb = ch.dims
     n = na * nb
     swap = np.eye(n).reshape(na, nb, n).transpose(1, 0, 2).reshape(n, n)
-    return KrausChannel(swap @ ch.stacked() @ swap.T, BiDims(nb, na))
+    return KrausChannel(swap @ ch.kraus @ swap.T, BiDims(nb, na))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -57,10 +59,12 @@ def test_non_finite_entry_in_last_kraus_operator_raises(bad):
 
 
 def test_stacked_is_built_once_and_read_only():
+    # ``kraus`` is the one read-only (k, n, n) stack; the channel keeps no second copy
     ch = measurement_channel(bell_basis())
-    stack = ch.stacked()
-    assert ch.stacked() is stack
-    assert stack.shape == (4, 4, 4) and not stack.flags.writeable
+    stack = ch.kraus
+    assert [f.name for f in dataclasses.fields(ch)] == ["kraus", "dims", "_cache"]
+    assert isinstance(stack, np.ndarray) and stack.shape == (4, 4, 4)
+    assert not stack.flags.writeable
     assert all(k.base is stack and not k.flags.writeable for k in ch.kraus)
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 1.0
@@ -226,7 +230,7 @@ def _oracle_channels(bases):
 
 def test_measurement_channel_matches_per_vector_outer_products(corpus, corpus_of_seed):
     for name, basis in corpus + corpus_of_seed(1):
-        got, want = measurement_channel(basis).stacked(), _outer_measurement_channel(basis).stacked()
+        got, want = measurement_channel(basis).kraus, _outer_measurement_channel(basis).kraus
         assert np.array_equal(got, want), name
 
 
@@ -238,8 +242,8 @@ def test_validate_matches_python_sum(corpus, corpus_of_seed):
 def test_channel_takes_a_stack_as_one_copy():
     stack = np.stack([np.eye(4, dtype=complex) / np.sqrt(2)] * 2)
     ch = KrausChannel(stack, D22)
-    assert ch.stacked() is not stack and np.array_equal(ch.stacked(), stack)
-    assert stack.flags.writeable and not ch.stacked().flags.writeable
-    assert all(k.base is ch.stacked() for k in ch.kraus)
+    assert ch.kraus is not stack and np.array_equal(ch.kraus, stack)
+    assert stack.flags.writeable and not ch.kraus.flags.writeable
+    assert all(k.base is ch.kraus for k in ch.kraus)
     with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 3\) != \(4, 4\)"):
         KrausChannel(np.zeros((2, 3, 3), dtype=complex), D22)

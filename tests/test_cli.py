@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from importlib import resources
@@ -162,6 +163,14 @@ def _two_vector_basis(first, second=None) -> str:
     return json.dumps({"dimA": 1, "dimB": 2, "vectors": [first, second or _vec(_E1)]})
 
 
+_BASIS = {"dimA": 1, "dimB": 2, "vectors": [_vec(_E0), _vec(_E1)]}
+_NOT_ONE = "error: dimensions must be >= 1, got BiDims(dim_a=0, dim_b=2)\n"
+
+
+def _without(doc: dict, key: str) -> str:
+    return json.dumps({k: v for k, v in doc.items() if k != key})
+
+
 @pytest.mark.parametrize("text, code, stderr", [
     (_two_vector_basis(_vec([[1.0, 0.0], [0.0]])), 2, _RAGGED),
     (_two_vector_basis(_vec([["1", 0.0], [0.0, 0.0]])), 2,
@@ -196,10 +205,38 @@ def _two_vector_basis(first, second=None) -> str:
     (_two_vector_basis({"rows": 1, "cols": 2, "data": [[float("nan"), 0.0], [0.0, 0.0]]}), 2,
      "error: matrix has non-finite entries\n"),
     (_two_vector_basis(_vec([[1.0, 0.0], [0.0]]), _vec(_E1[:1], rows=2)), 2, _RAGGED),
+    # object-level faults: the document around the matrices
+    (json.dumps(_identity_channel_doc(kraus={})), 2, "error: 'kraus' must be a list, got dict\n"),
+    (json.dumps(dict(_BASIS, vectors={"0": _vec(_E0)})), 2,
+     "error: 'vectors' must be a list, got dict\n"),
+    (json.dumps(_identity_channel_doc(kraus=[])), 2,
+     "error: channel needs at least one Kraus operator\n"),
+    (json.dumps(dict(_BASIS, vectors=[])), 2, "error: basis has 0 vectors, expected 2\n"),
+    (json.dumps(dict(_BASIS, dimA="1")), 2,
+     "error: malformed basis object: 'dimA' must be an integer, got str\n"),
+    (json.dumps(_identity_channel_doc(dimA=True)), 2,
+     "error: malformed channel object: 'dimA' must be an integer, got bool\n"),
+    (json.dumps(dict(_BASIS, dimA=1.5)), 2,
+     "error: malformed basis object: 'dimA' must be an integer, got 1.5\n"),
+    (json.dumps(_identity_channel_doc(dimA=None)), 2,
+     "error: malformed channel object: 'dimA' must be an integer, got NoneType\n"),
+    (_without(_identity_channel_doc(), "dimA"), 2, "error: malformed channel object: 'dimA'\n"),
+    (_without(_BASIS, "dimB"), 2, "error: malformed basis object: 'dimB'\n"),
+    (json.dumps(dict(_BASIS, dimA=0)), 2, _NOT_ONE),
+    (json.dumps(_identity_channel_doc(dimA=0)), 2, _NOT_ONE),
+    (json.dumps(_identity_channel_doc(dimA=0, kraus=[])), 2,
+     "error: channel needs at least one Kraus operator\n"),
+    (json.dumps(dict(_BASIS, vectors=[_vec(_E0)])), 2, "error: basis has 1 vectors, expected 2\n"),
+    (_without(_BASIS, "vectors"), 2,
+     "error: object is neither a channel ('kraus') nor a basis ('vectors')\n"),
+    (json.dumps([_vec(_E0)]), 2, "error: top-level JSON value must be an object\n"),
 ], ids=["ragged-pair", "string-entry", "null-entry", "int-beyond-float", "int-beyond-int64",
         "boolean-entries", "row-vector", "data-object", "vector-not-object", "mixed-lengths",
         "nan-entry", "kraus-mixed-shapes", "nan-before-bad-data", "row-vector-with-nan",
-        "ragged-before-short"])
+        "ragged-before-short", "kraus-dict", "vectors-dict", "kraus-empty", "vectors-empty",
+        "dimA-string", "dimA-boolean", "dimA-fraction", "dimA-null", "dimA-missing",
+        "dimB-missing", "basis-dimA-zero", "channel-dimA-zero", "kraus-empty-dimA-zero",
+        "too-few-vectors", "neither-key", "top-level-array"])
 def test_classify_parse_messages_are_pinned(tmp_path, capsys, text, code, stderr):
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -472,12 +509,36 @@ def test_build_unwritable_output_exit_2(tmp_path, capsys, target):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_bundled_fixtures_match_builders():
-    from qcausal.channels import choi, choi_distance
-    from qcausal.games import and_box_channel
+# each bundled fixture and the `qcausal build` arguments that write it
+_FIXTURE_BUILDS = {
+    "sorkin.json": ["sorkin"],
+    "bell_basis.json": ["bell-basis"],
+    "conditional_basis.json": ["conditional-basis"],
+    "completion_basis.json": ["completion-basis"],
+    "twisted_quadrant_basis.json": ["twisted-basis", "--u", "hadamard"],
+    "mismatch_basis.json": ["mismatch"],
+    "andbox.json": ["andbox"],
+}
 
-    bundled = load_document(_fixture_path("andbox.json"))
-    assert choi_distance(choi(bundled), choi(and_box_channel())) < 1e-12
+
+def test_bundled_fixtures_match_builders(tmp_path, capsys):
+    # byte for byte, so the bundled files pin every bit the generators write
+    assert sorted(_FIXTURE_BUILDS) == sorted(FIXTURES)
+    for name, args in _FIXTURE_BUILDS.items():
+        out_path = tmp_path / name
+        assert main(["build", *args, "-o", str(out_path)]) == 0
+        with open(_fixture_path(name), "rb") as fh:
+            assert out_path.read_bytes() == fh.read(), name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qcausal.__path__)))
+def test_each_module_imports_on_its_own(module):
+    # the package imports none of its modules, so an import cycle shows here
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qcausal.__file__)))
+    run = subprocess.run([sys.executable, "-c", f"import qcausal.{module}"],
+                         capture_output=True, text=True, env=env, check=False)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def test_classify_criteria_disagreement_exits_3(monkeypatch, capsys):

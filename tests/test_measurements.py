@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from importlib import resources
 
@@ -191,11 +192,11 @@ def test_tables_are_built_once_and_read_only():
 
 def test_projector_stack_is_formed_once_for_the_channel_and_both_sides(rng):
     basis = haar_basis(BiDims(2, 3), rng)
-    rows = basis._rows
+    rows = basis.vectors
     stack = basis.projectors()
     assert basis.projectors() is stack and not stack.flags.writeable
     assert np.array_equal(stack, rows[:, :, None] * rows.conj()[:, None, :])
-    assert np.array_equal(measurement_channel(basis).stacked(), stack)
+    assert np.array_equal(measurement_channel(basis).kraus, stack)
     # the pair tables read the kept stack: a changed copy of it shows in them
     fresh = OrthogonalBasis(rows, basis.dims)
     fresh._cache["projectors"] = 2 * stack
@@ -238,8 +239,10 @@ def test_rotation_preserves_structure(rng):
 def test_basis_takes_a_stack_as_one_copy():
     rows = np.eye(4, dtype=complex)[::-1]
     basis = OrthogonalBasis(rows, D22)
-    assert basis._rows is not rows and np.array_equal(basis._rows, rows)
-    assert rows.flags.writeable and not basis._rows.flags.writeable
+    assert basis.vectors is not rows and np.array_equal(basis.vectors, rows)
+    assert rows.flags.writeable and not basis.vectors.flags.writeable
+    # ``vectors`` is the one (n, n) stack; the basis keeps no second copy
+    assert [f.name for f in dataclasses.fields(basis)] == ["vectors", "dims", "_cache"]
     with pytest.raises(ValueError, match="basis has 3 vectors, expected 4"):
         OrthogonalBasis(rows[:3], D22)
 

@@ -98,7 +98,7 @@ def test_semilocal_branches_are_one_way(rng):
     alpha together act on B as the identity."""
     for name, basis in _semicausal_fixture_bases(rng):
         protocol = semilocal_channel(basis)
-        ks = protocol.stacked()
+        ks = protocol.kraus
         for sub in semicausal_structure(basis, "A"):
             members = ks[list(sub.member_indices)]
             effect = np.einsum("kji,kjl->il", members.conj(), members)
@@ -206,7 +206,7 @@ def test_twisted_protocol_rows_are_one_way():
     blocks = [np.diag([1, 1, 0, 0]), np.diag([0, 0, 1, 1])]
     for u in (np.eye(2), HADAMARD, PAULI_X):
         protocol = twisted_partition_protocol_kraus(u)
-        ks = protocol.stacked()
+        ks = protocol.kraus
         for row in range(2):
             members = ks[8 * row: 8 * row + 8]
             effect = np.einsum("kji,kjl->il", members.conj(), members)

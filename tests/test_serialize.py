@@ -11,10 +11,8 @@ from qcausal.measurements import bell_basis, incomplete_bell_channel
 from qcausal.report import _serialize_search_witness
 from qcausal.serialize import (
     ParseError,
-    basis_from_json,
-    basis_to_json,
-    channel_from_json,
-    channel_to_json,
+    document_from_json,
+    document_to_json,
     dump_document,
     load_document,
     matrix_from_json,
@@ -56,24 +54,24 @@ def test_matrix_rejects_bad_documents():
 
 def test_channel_round_trip():
     ch = and_box_channel()
-    back = channel_from_json(json.loads(json.dumps(channel_to_json(ch))))
+    back = document_from_json(json.loads(json.dumps(document_to_json(ch))))
     assert back.dims == ch.dims
     assert choi_distance(choi(back), choi(ch)) < 1e-12
 
 
 def test_basis_round_trip():
     basis = bell_basis()
-    back = basis_from_json(json.loads(json.dumps(basis_to_json(basis))))
+    back = document_from_json(json.loads(json.dumps(document_to_json(basis))))
     assert back.dims == basis.dims
     for u, v in zip(back.vectors, basis.vectors):
         assert np.allclose(u, v)
 
 
 def test_basis_rejects_non_orthonormal():
-    doc = basis_to_json(bell_basis())
+    doc = document_to_json(bell_basis())
     doc["vectors"][1] = doc["vectors"][0]
     with pytest.raises(ParseError):
-        basis_from_json(doc)
+        document_from_json(doc)
 
 
 def test_load_document_auto_detects(tmp_path):

@@ -55,7 +55,7 @@ def reference_search(ch, direction):
         if dist.size and dist.max() > best:
             m = int(dist.argmax())
             best, p, q, q_alt = dist[m], k, i[m], j[m]
-    stack = ch.stacked()
+    stack = ch.kraus
     phi, psi, psi_prime = recv[p], send[q], send[q_alt]
     separation = trace_distance(_receiver_output(stack, ch.dims, direction, phi, psi),
                                 _receiver_output(stack, ch.dims, direction, phi, psi_prime))

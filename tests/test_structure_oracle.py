@@ -112,7 +112,7 @@ def oracle_causal_structure(basis, tol=1e-9):
         raise ValueError(f"cell holds {counts[(counts != d * d).argmax()]} states, "
                          f"expected {d * d}")
     cells = np.argsort(cell_of, kind="stable").reshape(r_a, r_b, d * d)
-    states = basis._rows.reshape(-1, *basis.dims)
+    states = basis.vectors.reshape(-1, *basis.dims)
     first = cells[0, 0]
     anchor = first[np.abs(np.trace(states[first], axis1=1, axis2=2)).argmax()]
     u, _, vh = _schmidt(basis)
@@ -124,7 +124,7 @@ def oracle_causal_structure(basis, tol=1e-9):
     f_dag, e_dag = (t.conj().transpose(0, 2, 1) for t in (rows, cols))
     frames = (f_dag[:, None, :, None, :, None]
               * e_dag[None, :, None, :, None, :]).reshape(r_a, r_b, d * d, -1)
-    unitaries = root_d * (frames[label_a, label_b] @ basis._rows[..., None]).reshape(-1, d, d)
+    unitaries = root_d * (frames[label_a, label_b] @ basis.vectors[..., None]).reshape(-1, d, d)
     return CausalGrid(d, r_a, r_b, tuple(tuple(map(tuple, row)) for row in cells.tolist()),
                       rows, cols, unitaries)
 
@@ -139,7 +139,7 @@ def _outcome(fn, *args):
 
 def _fresh(basis):
     """The same vectors in a new basis, whose tables are computed anew."""
-    return OrthogonalBasis(basis._rows, basis.dims)
+    return OrthogonalBasis(basis.vectors, basis.dims)
 
 
 def assert_same_structure(name, basis, tol):
@@ -209,7 +209,7 @@ def _turned(basis, eps, rng):
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     w, v = np.linalg.eigh(h + h.conj().T)
     turn = (v * np.exp(0.5j * eps * w)) @ v.conj().T
-    return OrthogonalBasis((turn @ basis._rows.T).T, basis.dims)
+    return OrthogonalBasis((turn @ basis.vectors.T).T, basis.dims)
 
 
 def _classify(path, tol, capsys):
@@ -269,11 +269,11 @@ def test_turned_grids_fail_as_the_oracle_fails_in_random_frames(seed, shape):
 
 def _swapped_pair(basis, rng):
     """``basis`` with two random states turned into each other by a random angle."""
-    rows = basis._rows.copy()
+    rows = basis.vectors.copy()
     i, j = rng.choice(len(rows), 2, replace=False)
     angle = rng.uniform(0, np.pi / 2)
     c, s = np.cos(angle), np.sin(angle)
-    a, b = basis._rows[i], basis._rows[j]
+    a, b = basis.vectors[i], basis.vectors[j]
     rows[i], rows[j] = c * a + s * b, c * b - s * a
     return OrthogonalBasis(rows, basis.dims)
 

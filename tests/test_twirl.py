@@ -167,6 +167,25 @@ def test_stabilizer_rejects_bad_generators():
                             PauliString.parse("-YY")])
 
 
+@pytest.mark.parametrize("texts, dims, message", [
+    (["+X", "+Z"], None, "generators +X and +Z do not commute"),
+    (["+XX", "+XX"], None, "generators are dependent"),
+    (["+XX", "-XX"], None, "generators are dependent"),
+    (["+XX", "+ZZ", "-YY"], None, "generators are dependent"),
+    (["+II"], None, "generators are dependent"),
+    ([], None, "need at least one generator"),
+    (["+XI", "+ZZZ"], None, "generators act on different qubit counts"),
+    (["+ZZ"], BiDims(2, 4), "bipartition BiDims(dim_a=2, dim_b=4) does not cover 2 qubits"),
+], ids=["anticommuting", "repeated", "opposite-signs", "three-on-two-qubits", "identity",
+        "none", "qubit-counts", "bipartition"])
+def test_stabilizer_builders_reject_the_same_generators(texts, dims, message):
+    generators = [PauliString.parse(t) for t in texts]
+    for build in (stabilizer_channel, stabilizer_twirl):
+        with pytest.raises(ValueError) as info:
+            build(generators, dims)
+        assert str(info.value) == message, build.__name__
+
+
 def _symplectic_rank(generators):
     """GF(2) rank of the generators' (x|z) vectors, X -> (1|0), Z -> (0|1), Y -> (1|1)."""
     rows = [int("".join("1" if c in "XY" else "0" for c in g.letters)
@@ -186,8 +205,9 @@ def _commuting(generators):
 
 
 def test_stabilizer_dependence_matches_symplectic_rank(rng):
-    # dependent generators leave some sign pattern's projector empty; the oracle
-    # is the GF(2) rank of the symplectic vectors
+    # dependent generators leave some sign pattern's projector empty, and generate
+    # fewer than 2**k group elements; the oracle is the GF(2) rank of the symplectic
+    # vectors
     two = [PauliString(a + b, sign) for a in "IXYZ" for b in "IXYZ" for sign in (1, -1)]
     sets = [[g] for g in two] + [[g, h] for i, g in enumerate(two) for h in two[i + 1:]]
     sets += [[two[k] for k in rng.choice(len(two), 3, replace=False)] for _ in range(200)]
@@ -201,9 +221,11 @@ def test_stabilizer_dependence_matches_symplectic_rank(rng):
         independent = _symplectic_rank(gens) == len(gens)
         if independent:
             assert len(stabilizer_channel(gens).kraus) == 2 ** len(gens)
+            assert len(stabilizer_twirl(gens).kraus) == 2 ** len(gens)
         else:
-            with pytest.raises(ValueError, match="dependent"):
-                stabilizer_channel(gens)
+            for build in (stabilizer_channel, stabilizer_twirl):
+                with pytest.raises(ValueError, match="dependent"):
+                    build(gens)
         checked += 1
     assert checked > 300
 
@@ -338,7 +360,7 @@ def test_grid_twirl_matches_per_element_products(rng):
         group = grid.unitaries[list(grid.cells[0][0])]
         expected = [tensor_product(f @ v @ f.conj().T, e @ v.conj() @ e.conj().T) / grid.d
                     for v in group for f in grid.rows for e in grid.cols]
-        got = grid_twirl_channel(basis, grid).stacked()
+        got = grid_twirl_channel(basis, grid).kraus
         assert got.shape == (len(expected),) + expected[0].shape
         assert np.abs(got - np.stack(expected)).max() < 1e-15
 
@@ -361,7 +383,7 @@ def test_channel_distance_matches_choi_distance(rng):
         channels.append(KrausChannel(tuple(np.linalg.qr(stack)[0].reshape(n_kraus, 6, 6)), dims))
     # a unitary mixing of the Kraus operators is the same channel
     mixing = haar_unitary(4, rng)
-    kraus = channels[2].stacked()
+    kraus = channels[2].kraus
     channels.append(KrausChannel(tuple(np.einsum("ij,jkl->ikl", mixing, kraus)), dims))
     for e1 in channels:
         for e2 in channels:
