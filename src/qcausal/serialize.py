@@ -7,10 +7,12 @@ vectors as single-column matrices.
 
 from __future__ import annotations
 
+import io
 import json
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .linalg import BiDims, _all_finite, as_matrix
 
@@ -153,11 +155,30 @@ def document_from_json(doc: Any):
 
 
 def load_document(path: str):
-    """Load a channel or basis from a JSON file (:func:`document_from_json`)."""
+    """Load a channel or basis from a JSON file (:func:`document_from_json`).
+
+    orjson parses the file. A file it rejects (NaN or Infinity, a number beyond
+    a double, a BOM, invalid UTF-8, malformed text, nesting past 1024) and a
+    document that then fails to decode are read again by the stdlib ``json``,
+    so every message and every reading is the stdlib's. Only documents that
+    decode keep orjson's parse: orjson reads an integer beyond 64 bits as the
+    nearest float, which matches ``float()`` of the stdlib's int in an entry,
+    and no document with such a size field decodes.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    try:
+        return document_from_json(orjson.loads(raw))
+    except (orjson.JSONDecodeError, ParseError):
+        pass
+    try:
+        # as open(path, encoding="utf-8") reads: one decode, universal newlines,
+        # so the error positions are the same
+        doc = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return document_from_json(doc)
 

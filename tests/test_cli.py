@@ -137,8 +137,11 @@ def _bell_basis_doc(field: str, value) -> dict:
     # negative local dimensions whose product still matches the 4 x 4 data
     json.dumps(_identity_channel_doc(dimA=-2, dimB=-2)),
     json.dumps(dict(_bell_basis_doc("dimA", -2), dimB=-2)),
+    # nested past what json.load can recurse into; orjson rejects the second
+    '{"dimA": 2, "dimB": 2, "kraus": ' + "[" * 1000 + "]" * 1000 + "}",
+    '{"dimA": 2, "dimB": 2, "kraus": [[NaN], ' + "[" * 5000 + "]" * 5000 + "]}",
 ], ids=["data-int", "data-null", "kraus-int", "entry-overflow", "rows-string", "dimA-string",
-        "channel-negative-dims", "basis-negative-dims"])
+        "channel-negative-dims", "basis-negative-dims", "1000-deep", "nan-and-5000-deep"])
 def test_classify_malformed_document_exit_2(tmp_path, capsys, text):
     path = tmp_path / "malformed.json"
     path.write_text(text)
@@ -230,13 +233,19 @@ def _without(doc: dict, key: str) -> str:
     (_without(_BASIS, "vectors"), 2,
      "error: object is neither a channel ('kraus') nor a basis ('vectors')\n"),
     (json.dumps([_vec(_E0)]), 2, "error: top-level JSON value must be an object\n"),
+    # size fields beyond 64 bits, which orjson would read as the nearest float
+    (_two_vector_basis(_vec(_E0, rows=2**64 + 1)), 2,
+     "error: matrix data length 2 != rows*cols = 18446744073709551617\n"),
+    (json.dumps(dict(_BASIS, dimA=-(2**63) - 1)), 2,
+     "error: dimensions must be >= 1, got BiDims(dim_a=-9223372036854775809, dim_b=2)\n"),
 ], ids=["ragged-pair", "string-entry", "null-entry", "int-beyond-float", "int-beyond-int64",
         "boolean-entries", "row-vector", "data-object", "vector-not-object", "mixed-lengths",
         "nan-entry", "kraus-mixed-shapes", "nan-before-bad-data", "row-vector-with-nan",
         "ragged-before-short", "kraus-dict", "vectors-dict", "kraus-empty", "vectors-empty",
         "dimA-string", "dimA-boolean", "dimA-fraction", "dimA-null", "dimA-missing",
         "dimB-missing", "basis-dimA-zero", "channel-dimA-zero", "kraus-empty-dimA-zero",
-        "too-few-vectors", "neither-key", "top-level-array"])
+        "too-few-vectors", "neither-key", "top-level-array", "rows-beyond-64-bits",
+        "dimA-beyond-64-bits"])
 def test_classify_parse_messages_are_pinned(tmp_path, capsys, text, code, stderr):
     path = tmp_path / "doc.json"
     path.write_text(text)

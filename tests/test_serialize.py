@@ -2,12 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal.causality import B_TO_A, SignalWitness, _ic_probes
 from qcausal.channels import KrausChannel, choi, choi_distance
 from qcausal.games import and_box_channel
 from qcausal.linalg import BiDims
-from qcausal.measurements import bell_basis, incomplete_bell_channel
+from qcausal.measurements import OrthogonalBasis, bell_basis, haar_basis, incomplete_bell_channel
 from qcausal.report import _serialize_search_witness
 from qcausal.serialize import (
     ParseError,
@@ -168,3 +170,90 @@ def test_matrix_rejects_non_finite_entries():
         for pair in ([bad, 0.0], [0.0, bad]):
             with pytest.raises(ParseError, match="non-finite"):
                 matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], pair]})
+
+
+def _stdlib_load(path):
+    """The reader before orjson: ``json.load`` of the UTF-8 text, then
+    :func:`document_from_json`, with read errors reported as ``load_document``
+    reports them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return document_from_json(doc)
+
+
+# JSON number and value literals an entry can hold besides a finite double:
+# non-finite and overflowing numbers, integers beyond 64 bits, and non-numbers
+_ODD_ENTRIES = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", str(10**400),
+                str(2**64 + 1), str(-(2**63) - 1), str(10**30), "-0", "true", "false",
+                "null", '"1.0"', "[1.0]", "{}"]
+
+
+def _doubles():
+    return st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def _documents(draw):
+    """A channel or basis document as bytes: valid or with odd entries, odd size
+    fields, a BOM, a stray invalid UTF-8 byte, CRLF line ends or cut short."""
+    dims = BiDims(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    n = dims.total
+    if draw(st.booleans()):
+        key = "vectors"
+        basis = haar_basis(dims, np.random.default_rng(draw(st.integers(0, 2**32))))
+        shapes = [(n, 1)] * n
+        values = [repr(x) for z in basis.vectors.ravel().tolist() for x in (z.real, z.imag)]
+    else:
+        key = "kraus"
+        shapes = [(n, n)] * draw(st.integers(1, 3))
+        values = draw(st.lists(_doubles(), min_size=2 * n * n * len(shapes),
+                               max_size=2 * n * n * len(shapes)))
+    odd = st.one_of(_doubles(), st.sampled_from(_ODD_ENTRIES),
+                    st.integers(-(2**70), 2**70).map(str))
+    for _ in range(draw(st.integers(0, 3))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(odd)
+    size = st.one_of(st.sampled_from([str(2**64 + 1), str(-(2**63) - 1), "2.0", "1e19"]),
+                     st.integers(-(2**70), 2**70).map(str))
+
+    def field(value):
+        return draw(size) if draw(st.integers(0, 9)) == 0 else str(value)
+
+    pairs = iter(f"[{re}, {im}]" for re, im in zip(values[::2], values[1::2]))
+    mats = [f'{{"rows": {field(rows)}, "cols": {field(cols)}, '
+            f'"data": [{", ".join(next(pairs) for _ in range(rows * cols))}]}}'
+            for rows, cols in shapes]
+    text = (f'{{"dimA": {field(dims.dim_a)}, "dimB": {field(dims.dim_b)},\n'
+            f' "{key}": [\n  ' + ",\n  ".join(mats) + "\n]}\n").encode()
+    if draw(st.booleans()):
+        text = text.replace(b"\n", b"\r\n")
+    fault = draw(st.sampled_from(["none", "none", "none", "bom", "byte", "cut"]))
+    if fault == "bom":
+        return b"\xef\xbb\xbf" + text
+    at = draw(st.integers(0, len(text)))
+    if fault == "byte":
+        return text[:at] + b"\xff" + text[at:]
+    return text[:at] if fault == "cut" else text
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_documents())
+def test_load_document_matches_stdlib_reader(tmp_path_factory, text):
+    """orjson's parse gives the stdlib reader's document, bit for bit, or its message."""
+    path = str(tmp_path_factory.getbasetemp() / "document.json")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    try:
+        want = _stdlib_load(path)
+    except Exception as exc:  # a ParseError, or a numpy warning the suite makes an error
+        with pytest.raises(type(exc)) as got:
+            load_document(path)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = load_document(path)
+    assert type(got) is type(want) and got.dims == want.dims
+    stack = "vectors" if isinstance(want, OrthogonalBasis) else "kraus"
+    assert _same_bits(getattr(got, stack), getattr(want, stack))
+
