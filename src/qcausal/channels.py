@@ -73,8 +73,9 @@ class ChoiState:
 def validate(ch: KrausChannel, tol: float = ATOL) -> TPReport:
     """Check the trace-preservation condition ``sum_k M_k^dag M_k == I``."""
     ks = ch.kraus
-    acc = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
-    deviation = frobenius(acc - _identity(ch.dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as deviation NaN
+        acc = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
+        deviation = frobenius(acc - _identity(ch.dim))
     return TPReport(bool(deviation < tol), float(deviation))
 
 

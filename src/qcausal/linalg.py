@@ -91,18 +91,15 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def as_vector(v, check_finite: bool = True) -> np.ndarray:
-    """Coerce to a 1-D complex array (column vectors are flattened).
-
-    ``check_finite=False`` leaves the finiteness check to a caller that checks
-    many vectors at once.
-    """
+def as_vector(v) -> np.ndarray:
+    """Coerce to a 1-D complex array (column vectors are flattened) and reject
+    non-finite entries."""
     arr = np.asarray(v, dtype=complex)
     if arr.ndim == 2 and 1 in arr.shape:
         arr = arr.reshape(-1)
     if arr.ndim != 1:
         raise ValueError(f"expected a vector, got shape {arr.shape}")
-    if check_finite and not _all_finite(arr):
+    if not _all_finite(arr):
         raise ValueError("vector has non-finite entries")
     return arr
 

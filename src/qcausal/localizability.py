@@ -169,7 +169,7 @@ def projective_group_test(stack: np.ndarray,
     """
     n, d = len(stack), stack.shape[1]
     gram = np.einsum("iab,jab->ij", stack.conj(), stack)  # tr(U_i^dag U_j)
-    if frobenius(gram - d * np.eye(n)) > 1e-7 * d * n:
+    if not frobenius(gram - d * np.eye(n)) <= 1e-7 * d * n:  # fails on NaN too
         raise PreconditionError("unitaries violate the trace-orthogonality condition")
     if not np.any(np.abs(np.trace(stack, axis1=1, axis2=2)) > d - 1e-7):
         raise PreconditionError("no member is proportional to the identity")

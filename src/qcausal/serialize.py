@@ -50,7 +50,9 @@ def _header(doc: dict[str, Any]) -> tuple[int, int, list]:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if not isinstance(data, list):
         raise ParseError(f"matrix data must be a list, got {type(data).__name__}")
-    if rows < 1 or cols < 1 or len(data) != rows * cols:
+    if rows < 1 or cols < 1:
+        raise ParseError(f"matrix rows and cols must be >= 1, got {rows} x {cols}")
+    if len(data) != rows * cols:
         raise ParseError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
     return rows, cols, data
 

@@ -238,6 +238,15 @@ def _without(doc: dict, key: str) -> str:
      "error: matrix data length 2 != rows*cols = 18446744073709551617\n"),
     (json.dumps(dict(_BASIS, dimA=-(2**63) - 1)), 2,
      "error: dimensions must be >= 1, got BiDims(dim_a=-9223372036854775809, dim_b=2)\n"),
+    # finite entries whose squares overflow: the basis fails its Gram test, and the
+    # channel is not trace preserving, an invariant failure; neither prints a warning
+    (_two_vector_basis(_vec([[1e200, 0.0], [0.0, 0.0]])), 2,
+     "error: basis is not orthonormal (Gram deviation nan)\n"),
+    (json.dumps({"dimA": 1, "dimB": 2, "kraus": [
+        _vec([[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], rows=2, cols=2)]}), 3,
+     "invariant failure: channel is not trace preserving (deviation nan)\n"),
+    (_two_vector_basis(_vec([], rows=1, cols=0)), 2,
+     "error: matrix rows and cols must be >= 1, got 1 x 0\n"),
 ], ids=["ragged-pair", "string-entry", "null-entry", "int-beyond-float", "int-beyond-int64",
         "boolean-entries", "row-vector", "data-object", "vector-not-object", "mixed-lengths",
         "nan-entry", "kraus-mixed-shapes", "nan-before-bad-data", "row-vector-with-nan",
@@ -245,7 +254,7 @@ def _without(doc: dict, key: str) -> str:
         "dimA-string", "dimA-boolean", "dimA-fraction", "dimA-null", "dimA-missing",
         "dimB-missing", "basis-dimA-zero", "channel-dimA-zero", "kraus-empty-dimA-zero",
         "too-few-vectors", "neither-key", "top-level-array", "rows-beyond-64-bits",
-        "dimA-beyond-64-bits"])
+        "dimA-beyond-64-bits", "basis-entry-1e200", "channel-entry-1e200", "zero-size-matrix"])
 def test_classify_parse_messages_are_pinned(tmp_path, capsys, text, code, stderr):
     path = tmp_path / "doc.json"
     path.write_text(text)

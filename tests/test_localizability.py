@@ -157,6 +157,14 @@ def test_projective_group_requires_identity_member():
         projective_group_test(np.stack(shifted))
 
 
+def test_projective_group_reports_a_nan_stack_as_not_trace_orthogonal():
+    x, z = generalized_pauli(2)
+    stack = np.stack([np.eye(2), x, z, x @ z]).astype(complex)
+    stack[0, 0, 0] = np.nan  # the identity member
+    with pytest.raises(PreconditionError, match="trace-orthogonality"):
+        projective_group_test(stack)
+
+
 def test_generalized_pauli_relations():
     for d in (2, 3, 4):
         x, z = generalized_pauli(d)

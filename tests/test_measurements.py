@@ -4,6 +4,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcausal import measurements
 from qcausal.channels import apply, measurement_channel
@@ -245,6 +247,25 @@ def test_basis_takes_a_stack_as_one_copy():
     assert [f.name for f in dataclasses.fields(basis)] == ["vectors", "dims", "_cache"]
     with pytest.raises(ValueError, match="basis has 3 vectors, expected 4"):
         OrthogonalBasis(rows[:3], D22)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim_a=st.integers(1, 3), dim_b=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       spot=st.integers(0, 80), imag=st.booleans(),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200]))
+def test_basis_with_a_non_finite_or_overflowing_entry_is_rejected(dim_a, dim_b, seed, spot,
+                                                                  imag, bad):
+    # a stack is decided by the Gram test alone; a vector sequence also passes
+    # through as_vector's own finiteness check. The error::RuntimeWarning filter
+    # turns any warning numpy leaks on the way into a failure.
+    dims = BiDims(dim_a, dim_b)
+    rows = haar_basis(dims, np.random.default_rng(seed)).vectors.copy()
+    i, j = divmod(spot % rows.size, rows.shape[1])
+    rows[i, j] = complex(0.0, bad) if imag else complex(bad, 0.0)
+    with pytest.raises(ValueError, match="basis is not orthonormal"):
+        OrthogonalBasis(rows, dims)
+    with pytest.raises(ValueError, match="not orthonormal|non-finite"):
+        OrthogonalBasis(tuple(rows), dims)
 
 
 def test_classify_decides_each_side_once(corpus, monkeypatch):
