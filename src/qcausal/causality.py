@@ -44,6 +44,7 @@ from .channels import KrausChannel, _choi_vectors
 from .linalg import (
     ATOL,
     BiDims,
+    _arange,
     _maximally_mixed,
     _trace_distance,
     frobenius,
@@ -108,6 +109,39 @@ def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool
     reduced = np.trace(t, axis1=1, axis2=4)[:, None, :, :, None, :]  # (r, 1, o, R, 1, O)
     expected = reduced * _maximally_mixed(t.shape[1])[:, None, None, :, None]
     return frobenius(t - expected) < tol * math.prod(t.shape[:3])
+
+
+def measurement_marginal_residual(basis, direction: str) -> float:
+    """``semicausal_test``'s residual for ``measurement_channel(basis)``, from the vectors.
+
+    For the receiver A, with P_k = |b_k><b_k| and s_k = Tr_B P_k, the marginal is
+    sum_k conj(P_k) (x) s_k and its expected form sum_k (s_k^T (x) I_B/d_B) (x) s_k,
+    so the residual is the norm of one (n, d_A^2)^T @ (n, n^2) product of the s_k
+    with the stacked D_k = conj(P_k) - s_k^T (x) I_B/d_B. The s_k come from one
+    batched product of the state matrices; s_k^T stands in for s_k, which only
+    permutes the product's entries. The receiver B mirrors it with the factors swapped.
+    """
+    na, nb = basis.dims
+    states = basis.vectors.reshape(-1, na, nb)
+    k, conj = len(states), states.conj()
+    d = basis.projectors().conj().reshape(k, na, nb, na, nb)  # a fresh copy, changed in place
+    if direction == B_TO_A:
+        s_t = conj @ states.transpose(0, 2, 1)  # (k, A, A)
+        d[:, :, _arange(nb), :, _arange(nb)] -= s_t / nb
+    elif direction == A_TO_B:
+        s_t = conj.transpose(0, 2, 1) @ states  # (k, B, B)
+        d[:, _arange(na), :, _arange(na)] -= s_t / na
+    else:
+        raise ValueError(f"direction must be {B_TO_A!r} or {A_TO_B!r}, got {direction!r}")
+    m = s_t.reshape(k, -1).T @ d.reshape(k, -1)
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def measurement_semicausal_test(basis, direction: str, tol: float = ATOL) -> bool:
+    """``semicausal_test(measurement_channel(basis), direction, tol)`` from the vectors:
+    :func:`measurement_marginal_residual` at the bar ``tol * n * d_receiver``."""
+    d_recv = basis.dims.dim_a if direction == B_TO_A else basis.dims.dim_b
+    return measurement_marginal_residual(basis, direction) < tol * basis.dims.total * d_recv
 
 
 def _receiver_output(kraus_stack: np.ndarray, dims: BiDims, direction: str,

@@ -6,6 +6,7 @@ Choi states, never on Kraus lists (Kraus representations are not unique).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -165,3 +166,36 @@ def measurement_channel(basis) -> KrausChannel:
     """
     return KrausChannel(basis.projectors(), basis.dims)
 
+
+def measurement_validate(basis, tol: float = ATOL) -> TPReport:
+    """``validate(measurement_channel(basis))`` from the vectors: with w_k = ||b_k||^2,
+    ``sum_k P_k^dag P_k`` is ``B diag(w) B^dag`` for the matrix B whose columns are the b_k."""
+    rows, conj = basis.vectors, basis.vectors.conj()  # finite and near unit norm by the Gram test
+    w = (rows * conj).real.sum(axis=1)
+    deviation = frobenius((rows.T * w) @ conj - _identity(len(rows)))
+    return TPReport(bool(deviation < tol), deviation)
+
+
+def measurement_distance(ch: KrausChannel, basis) -> float:
+    """``channel_distance(ch, measurement_channel(basis))``, read in the basis's frame.
+
+    In the frame U = B^-1 (the b_k as columns of B), U b_k = e_k exactly, so the
+    measurement's Choi state is sum_k |kk><kk| and ch's Kraus operators become
+    K'_j = U K_j U^dag. With a (n, J) their diagonals and O (J, n^2) the rest,
+    the squared distance is ||a a^dag - I||^2 + 2 ||a conj(O)||^2 + ||conj(O) O^T||^2:
+    norms of products and of one entrywise difference, no difference of large
+    squared norms. U is the inverse, not B^dag: the basis is orthonormal only
+    within the Gram bar, and B^dag would put an error of that size into the
+    picture, where the inverse's error stays relative to the distance.
+    """
+    if ch.dims != basis.dims:
+        raise ValueError("channel and basis have different dims")
+    n = ch.dim
+    u = np.linalg.inv(basis.vectors.T)
+    right = (ch.kraus.reshape(-1, n) @ dag(u)).reshape(-1, n, n)  # every K_j U^dag at once
+    off = (u @ right).reshape(len(right), -1)  # row j: K'_j, its diagonal zeroed below
+    a = off[:, ::n + 1].T.copy()
+    off[:, ::n + 1] = 0
+    conj = off.conj()
+    terms = ((1, a @ dag(a) - _identity(n)), (2, a @ conj), (1, conj @ off.T))
+    return math.sqrt(sum(w * np.vdot(t, t).real for w, t in terms))

@@ -5,10 +5,19 @@ verdict names the criterion that decided it. Localizability is only ever
 reported as "obstructed" (with a certificate) or "by construction" (when
 cell dephasing plus a matched twirl reproduces the channel exactly);
 otherwise the report says that no obstruction was found, which is not a proof.
+
+A basis is classified in its own frame: trace preservation, the Choi-marginal
+cross-check of each side and the grid-twirl distance are read from its vectors
+(``measurement_validate``, ``measurement_semicausal_test``,
+``measurement_distance``). The measurement channel is built only where a step
+needs a channel: the 2x2 game value, the probe-search witness and the closure
+certificate. A channel input goes through ``validate``, ``semicausal_test`` and
+the probe search directly.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import localizability as loc
@@ -17,10 +26,17 @@ from .causality import (
     B_TO_A,
     SEARCH_THRESHOLD,
     SignalWitness,
+    measurement_semicausal_test,
     semicausal_test,
     signaling_search,
 )
-from .channels import KrausChannel, channel_distance, measurement_channel, validate
+from .channels import (
+    KrausChannel,
+    measurement_channel,
+    measurement_distance,
+    measurement_validate,
+    validate,
+)
 from .games import CIRELSON_VALUE, channel_game_value
 from .linalg import ATOL, BiDims
 from .measurements import (
@@ -127,39 +143,39 @@ def _channel_witness(ch: KrausChannel, direction: str) -> dict:
 
 
 def classify_basis(basis: OrthogonalBasis, tol: float = ATOL) -> ClassificationReport:
-    """Full classification of a complete orthogonal measurement basis."""
-    ch = measurement_channel(basis)
-    tp = validate(ch, tol)
+    """Full classification of a complete orthogonal measurement basis, in its frame."""
+    channel = functools.cache(lambda: measurement_channel(basis))  # built once, if needed
+    tp = measurement_validate(basis, tol)
     report = ClassificationReport("basis", basis.dims, tp.tp, tp.deviation)
 
     for side, direction, attr in (("A", B_TO_A, "b_to_a_blocked"),
                                   ("B", A_TO_B, "a_to_b_blocked")):
         verdict = semicausal_basis_test(basis, side, tol)
-        choi_verdict = semicausal_test(ch, direction, tol)
+        choi_verdict = measurement_semicausal_test(basis, direction, tol)
         if verdict.semicausal != choi_verdict:
             raise ValueError(f"criteria disagree on side {side}; numerical failure")
         entry = VerdictEntry(verdict.semicausal, f"{PAIRWISE_CRITERION}+{CHOI_CRITERION}")
         if not verdict.semicausal:
             found = basis_signaling_witness(basis, side, tol)
             entry.witness = (_serialize_basis_witness(found) if found is not None
-                             else _channel_witness(ch, direction))
+                             else _channel_witness(channel(), direction))
         setattr(report, attr, entry)
 
     if report.causal:
-        _analyze_localizability(report, basis, ch, tol)
+        _analyze_localizability(report, basis, tol)
     else:
         report.localizability = "not localizable (signaling certificate attached)"
 
     if basis.dims == BiDims(2, 2):
-        _attach_game_value(report, ch)
+        _attach_game_value(report, channel())
     return report
 
 
 def _analyze_localizability(report: ClassificationReport, basis: OrthogonalBasis,
-                            ch: KrausChannel, tol: float) -> None:
+                            tol: float) -> None:
     """Try the grid construction; only if it fails, look for an obstruction."""
     grid = causal_structure(basis, tol)
-    if channel_distance(grid_twirl_channel(basis, grid), ch) < tol * ch.dim:
+    if measurement_distance(grid_twirl_channel(basis, grid), basis) < tol * basis.dims.total:
         report.localizability = ("localizable by construction "
                                  "(cell dephasing + matched twirl)")
         return

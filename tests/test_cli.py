@@ -562,7 +562,8 @@ def test_each_module_imports_on_its_own(module):
 def test_classify_criteria_disagreement_exits_3(monkeypatch, capsys):
     import qcausal.report as report
 
-    monkeypatch.setattr(report, "semicausal_test", lambda ch, direction, tol: False)
+    monkeypatch.setattr(report, "measurement_semicausal_test",
+                        lambda basis, direction, tol: False)
     assert main(["classify", _fixture_path("bell_basis.json")]) == 3
     err = capsys.readouterr().err
     assert "invariant failure: criteria disagree" in err
