@@ -197,5 +197,5 @@ def measurement_distance(ch: KrausChannel, basis) -> float:
     a = off[:, ::n + 1].T.copy()
     off[:, ::n + 1] = 0
     conj = off.conj()
-    terms = ((1, a @ dag(a) - _identity(n)), (2, a @ conj), (1, conj @ off.T))
-    return math.sqrt(sum(w * np.vdot(t, t).real for w, t in terms))
+    sq = [np.vdot(t, t).real for t in (a @ dag(a) - _identity(n), a @ conj, conj @ off.T)]
+    return math.sqrt(sq[0] + 2 * sq[1] + sq[2])
