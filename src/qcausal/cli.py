@@ -11,6 +11,7 @@ import collections
 import functools
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -62,8 +63,6 @@ _NAMED_UNITARIES = {
 
 def _resolve_input(path: str) -> str:
     """Use the path as given, falling back to the bundled fixtures directory."""
-    import os
-
     if os.path.exists(path):
         return path
     bundled = resources.files("qcausal") / "fixtures" / path
@@ -237,7 +236,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The full parser and its ``build`` sub-parser, built once per process."""
     parser = argparse.ArgumentParser(prog="qcausal",
                                      description="Classify bipartite quantum operations.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -272,13 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="twisted-basis build: twist unitary")
     p_build.add_argument("-o", "--output", required=True)
     p_build.set_defaults(func=_cmd_build)
-    return parser
+    return parser, p_build
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The full parser, built once per process; each parse fills a fresh namespace."""
-    return build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers.__wrapped__()[0]  # a fresh parser, not the cached one
 
 
 def _read_classify(argv: list[str]) -> argparse.Namespace | None:
@@ -312,13 +311,17 @@ def _read_classify(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with the same output and exits.
+    """What ``build_parser().parse_args(argv)`` returns, for every argv it accepts.
 
-    ``_read_classify`` reads the plain classify command lines; every other
-    argv, help and errors included, goes to the full parse.
+    ``_read_classify`` reads the plain classify command lines, with the same
+    output and exits. The build sub-parser alone reads a ``build`` command line,
+    intermixed (argparse cannot with sub-parsers), so generators may follow the
+    options, signed ones after ``--``. Every other argv goes to the full parse.
     """
     args = _read_classify(argv)
-    return _parser().parse_args(argv) if args is None else args
+    if args is None and argv[:1] == ["build"]:
+        return _parsers()[1].parse_intermixed_args(argv[1:], argparse.Namespace(command="build"))
+    return _parsers()[0].parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

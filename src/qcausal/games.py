@@ -30,6 +30,7 @@ from .linalg import (
     proj,
     tensor_product,
 )
+from .protocols import sample_branch
 
 CIRELSON_VALUE = 0.5 + 0.5 / np.sqrt(2)  # == cos^2(pi/8)
 # _WINS[2x + y, 2a + b]: whether outputs (a, b) win on inputs (x, y).
@@ -103,13 +104,8 @@ def chsh_success_classical(s: ClassicalStrategy) -> float:
 
 def best_classical_value() -> tuple[float, ClassicalStrategy]:
     """Exhaustive maximum over all 16 deterministic strategies."""
-    best = None
-    for bits in product((0, 1), repeat=4):
-        s = ClassicalStrategy(*bits)
-        v = chsh_success_classical(s)
-        if best is None or v > best[0]:
-            best = (v, s)
-    return best
+    strategies = (ClassicalStrategy(*bits) for bits in product((0, 1), repeat=4))
+    return max(((chsh_success_classical(s), s) for s in strategies), key=lambda vs: vs[0])
 
 
 def joint_outcome_distribution(s: QuantumStrategy, x: int, y: int) -> np.ndarray:
@@ -146,18 +142,25 @@ def optimal_quantum_strategy() -> QuantumStrategy:
     )
 
 
+def _measure_and_prepare(amplitudes: np.ndarray) -> KrausChannel:
+    """The two-qubit channel that reads the input |xy> and prepares |ab>: one
+    Kraus operator ``a[xy, ab] |ab><xy|`` per nonzero entry of the (4, 4)
+    amplitude table, in row-major order."""
+    inputs, outputs = np.nonzero(amplitudes)
+    kraus = np.zeros((len(inputs), 4, 4), dtype=complex)
+    kraus[range(len(inputs)), outputs, inputs] = amplitudes[inputs, outputs]
+    return KrausChannel(kraus, BiDims(2, 2))
+
+
 def and_box_channel() -> KrausChannel:
     """The two-qubit channel that wins the XOR game with certainty.
 
     It dephases in the computational basis, then maps inputs 00, 01, 10 to an
     even mixture of |00> and |11| and input 11 to an even mixture of |01> and
     |10>, so the output bits always satisfy a XOR b = x AND y while each
-    marginal stays maximally mixed.
+    marginal stays maximally mixed: amplitude 1/sqrt(2) on every win.
     """
-    inputs, outputs = np.nonzero(_WINS)  # one Kraus operator |ab><xy| / sqrt(2) per win
-    kraus = np.zeros((len(inputs), 4, 4), dtype=complex)
-    kraus[range(len(inputs)), outputs, inputs] = 1 / np.sqrt(2)
-    return KrausChannel(kraus, BiDims(2, 2))
+    return _measure_and_prepare(_WINS / np.sqrt(2))
 
 
 def channel_game_value(ch: KrausChannel) -> float:
@@ -186,12 +189,14 @@ def ip_demo(x: str, y: str, seed: int = 0) -> int:
     xs, ys = _parse_bits(x), _parse_bits(y)
     if len(xs) != len(ys):
         raise ValueError("bitstrings must have equal length")
+    box = and_box_channel()
+    outputs = np.nonzero(_WINS)[1]  # branch k of the box prepares |ab> = outputs[k]
     rng = np.random.default_rng(seed)
     a_total = 0
     b_total = 0
     for xi, yi in zip(xs, ys):
-        a = int(rng.integers(2))
-        b = a ^ (xi & yi)
+        branch = sample_branch(box, proj(basis_vector(4, 2 * xi + yi)), rng)
+        a, b = divmod(int(outputs[branch]), 2)
         a_total ^= a
         b_total ^= b
     return a_total ^ b_total
@@ -212,13 +217,8 @@ def entangled_local_protocol(s: QuantumStrategy) -> KrausChannel:
     resulting channel is localizable by construction and its game value equals
     the strategy's success probability.
     """
-    kraus = []
-    for x, y in product((0, 1), repeat=2):
-        dist = joint_outcome_distribution(s, x, y)
-        ket_in = basis_vector(4, 2 * x + y)
-        for a, b in product((0, 1), repeat=2):
-            weight = np.sqrt(max(dist[a, b], 0.0))
-            if weight < 1e-12:
-                continue
-            kraus.append(weight * np.outer(basis_vector(4, 2 * a + b), ket_in.conj()))
-    return KrausChannel(tuple(kraus), BiDims(2, 2))
+    probs = np.array([joint_outcome_distribution(s, x, y).ravel()
+                      for x, y in product((0, 1), repeat=2)])  # [xy, ab]
+    amplitudes = np.sqrt(np.clip(probs, 0.0, None))
+    amplitudes[amplitudes < 1e-12] = 0.0
+    return _measure_and_prepare(amplitudes)

@@ -18,7 +18,6 @@ from .channels import KrausChannel
 from .linalg import (
     I2,
     PAULI_X,
-    PAULI_Z,
     PAULIS,
     BiDims,
     alignment_unitary,
@@ -28,7 +27,15 @@ from .linalg import (
     is_unitary,
     tensor_product,
 )
-from .measurements import OrthogonalBasis, Subspace, _blocks, bell_states, semicausal_structure
+from .measurements import (
+    _BELL_UNITARIES,
+    OrthogonalBasis,
+    Subspace,
+    _blocks,
+    bell_states,
+    semicausal_structure,
+)
+from .twirl import cell_twirl_kraus
 
 
 def branch_weights(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -137,8 +144,7 @@ def swap_outcome(branch: int) -> tuple[int, dict]:
     """
     o1, o2 = divmod(branch, 4)
     phase_flip, parity_flip = bool(o1 % 2), bool(o2 // 2)
-    label = {(False, False): "I", (False, True): "X",
-             (True, False): "Z", (True, True): "ZX"}[(phase_flip, parity_flip)]
+    label = ("I", "Z", "X", "ZX")[2 * parity_flip + phase_flip]  # Z^phase X^parity
     record = {"correction_on_a": label, "stray_phase_flip": phase_flip,
               "stray_parity_flip": parity_flip}
     return 2 * (o1 // 2) + (o1 + o2) % 2, record
@@ -158,12 +164,9 @@ def entanglement_swap_channel() -> KrausChannel:
     w = _copy_isometry(tensor_product(basis_vector(2, 0), basis_vector(2, 0), plus, plus))
     bells = np.stack(bell_states()).conj()
     raw = np.einsum("xrsy,ir,js->ijxy", w, bells, bells, optimize=True).reshape(16, 4, 4)
-    corrections = []
-    for branch in range(16):
-        record = swap_outcome(branch)[1]
-        c = ((PAULI_Z if record["stray_phase_flip"] else I2)
-             @ (PAULI_X if record["stray_parity_flip"] else I2))
-        corrections.append(tensor_product(c, I2))
+    # Z^phase X^parity is the Bell cell's unitary 2 * parity + phase (swap_outcome's bits)
+    o1, o2 = np.divmod(np.arange(16), 4)
+    corrections = [tensor_product(c, I2) for c in _BELL_UNITARIES[2 * (o2 // 2) + o1 % 2]]
     return KrausChannel(np.stack(corrections) @ raw, BiDims(2, 2))
 
 
@@ -177,21 +180,17 @@ def twisted_partition_protocol_kraus(u_b: np.ndarray) -> KrausChannel:
 
     Alice measures her row and sends it to Bob, who measures his column; both
     apply the shared random Pauli, Bob's conjugated by the twist exactly on
-    the twisted quadrant. Branch ``8 * row + 4 * column + pauli`` is one Kraus
-    operator, with the Paulis in the order of ``linalg.PAULIS``.
+    the twisted quadrant: the quadrant grid's cell twirl with Bob's Pauli group
+    chosen by Alice's row, which is why she sends it. Branch
+    ``8 * row + 4 * column + pauli`` is one Kraus operator, with the Paulis in
+    the order of ``linalg.PAULIS``.
     """
     u_b = as_matrix(u_b)
     if not is_unitary(u_b) or u_b.shape != (2, 2):
         raise ValueError("u_b must be a 2x2 unitary")
+    paulis = np.stack(list(PAULIS.values()))
+    bob = np.broadcast_to(paulis[:, None, None], (4, 2, 2, 2, 2)).copy()  # (g, row, column)
+    bob[:, 1, 1] = u_b @ paulis @ dag(u_b)
     quadrants = _blocks(4, 2)
-    blocks = quadrants @ quadrants.transpose(0, 2, 1)  # each side's two block projectors
-    kraus = []
-    for alpha in range(2):
-        for beta in range(2):
-            for sigma in PAULIS.values():
-                a_op = tensor_product(I2, sigma)
-                bob_sigma = u_b @ sigma @ dag(u_b) if (alpha, beta) == (1, 1) else sigma
-                b_op = tensor_product(I2, bob_sigma)
-                k = tensor_product(a_op, b_op) @ tensor_product(blocks[alpha], blocks[beta])
-                kraus.append(k / 2)
-    return KrausChannel(tuple(kraus), BiDims(4, 4))
+    kraus = cell_twirl_kraus(quadrants, paulis, quadrants, bob)  # (pauli, row, column, ...)
+    return KrausChannel(np.moveaxis(kraus, 0, 2).reshape(16, 16, 16), BiDims(4, 4))

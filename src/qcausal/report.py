@@ -72,16 +72,15 @@ class ClassificationReport:
     dims: BiDims
     tp: bool
     tp_deviation: float
-    b_to_a_blocked: VerdictEntry | None = None
-    a_to_b_blocked: VerdictEntry | None = None
+    b_to_a_blocked: VerdictEntry
+    a_to_b_blocked: VerdictEntry
     obstructions: list[dict] = field(default_factory=list)
     localizability: str = "no obstruction found"
     game_value: float | None = None
 
     @property
     def causal(self) -> bool:
-        return bool(self.b_to_a_blocked and self.a_to_b_blocked
-                    and self.b_to_a_blocked.verdict and self.a_to_b_blocked.verdict)
+        return bool(self.b_to_a_blocked.verdict and self.a_to_b_blocked.verdict)
 
     def to_json(self) -> dict:
         doc = {
@@ -89,8 +88,8 @@ class ClassificationReport:
                       "dimA": self.dims.dim_a, "dimB": self.dims.dim_b},
             "tracePreserving": {"verdict": self.tp, "deviation": self.tp_deviation},
             "semicausal": {
-                "BtoA": self.b_to_a_blocked.to_json() if self.b_to_a_blocked else None,
-                "AtoB": self.a_to_b_blocked.to_json() if self.a_to_b_blocked else None,
+                "BtoA": self.b_to_a_blocked.to_json(),
+                "AtoB": self.a_to_b_blocked.to_json(),
             },
             "causal": self.causal,
             "localizability": self.localizability,
@@ -146,10 +145,8 @@ def classify_basis(basis: OrthogonalBasis, tol: float = ATOL) -> ClassificationR
     """Full classification of a complete orthogonal measurement basis, in its frame."""
     channel = functools.cache(lambda: measurement_channel(basis))  # built once, if needed
     tp = measurement_validate(basis, tol)
-    report = ClassificationReport("basis", basis.dims, tp.tp, tp.deviation)
-
-    for side, direction, attr in (("A", B_TO_A, "b_to_a_blocked"),
-                                  ("B", A_TO_B, "a_to_b_blocked")):
+    entries = []
+    for side, direction in (("A", B_TO_A), ("B", A_TO_B)):
         verdict = semicausal_basis_test(basis, side, tol)
         choi_verdict = measurement_semicausal_test(basis, direction, tol)
         if verdict.semicausal != choi_verdict:
@@ -159,8 +156,9 @@ def classify_basis(basis: OrthogonalBasis, tol: float = ATOL) -> ClassificationR
             found = basis_signaling_witness(basis, side, tol)
             entry.witness = (_serialize_basis_witness(found) if found is not None
                              else _channel_witness(channel(), direction))
-        setattr(report, attr, entry)
+        entries.append(entry)
 
+    report = ClassificationReport("basis", basis.dims, tp.tp, tp.deviation, *entries)
     if report.causal:
         _analyze_localizability(report, basis, tol)
     else:
@@ -207,17 +205,18 @@ def _attach_game_value(report: ClassificationReport, ch: KrausChannel) -> None:
 def classify_channel(ch: KrausChannel, tol: float = ATOL) -> ClassificationReport:
     """Full classification of a Kraus channel."""
     tp = validate(ch, tol)
-    report = ClassificationReport("channel", ch.dims, tp.tp, tp.deviation)
     if not tp.tp:
         raise ValueError(f"channel is not trace preserving (deviation {tp.deviation:.3e})")
 
-    for direction, attr in ((B_TO_A, "b_to_a_blocked"), (A_TO_B, "a_to_b_blocked")):
+    entries = []
+    for direction in (B_TO_A, A_TO_B):
         blocked = semicausal_test(ch, direction, tol)
         entry = VerdictEntry(blocked, CHOI_CRITERION)
         if not blocked:
             entry.witness = _channel_witness(ch, direction)
-        setattr(report, attr, entry)
+        entries.append(entry)
 
+    report = ClassificationReport("channel", ch.dims, tp.tp, tp.deviation, *entries)
     if not report.causal:
         report.localizability = "not localizable (signaling certificate attached)"
     if ch.dims == BiDims(2, 2):

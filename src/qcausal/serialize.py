@@ -14,7 +14,9 @@ from typing import Any
 import numpy as np
 import orjson
 
+from .channels import KrausChannel
 from .linalg import BiDims, _all_finite, as_matrix
+from .measurements import OrthogonalBasis
 
 
 class ParseError(ValueError):
@@ -115,9 +117,6 @@ def _real_pairs(arr: np.ndarray) -> np.ndarray:
 
 def document_to_json(obj) -> dict[str, Any]:
     """The JSON object of a channel (its ``kraus`` operators) or a basis (its ``vectors``)."""
-    from .channels import KrausChannel
-    from .measurements import OrthogonalBasis
-
     if isinstance(obj, KrausChannel):
         key, mats = "kraus", obj.kraus
     elif isinstance(obj, OrthogonalBasis):
@@ -131,9 +130,6 @@ def document_to_json(obj) -> dict[str, Any]:
 def document_from_json(doc: Any):
     """The channel or basis a JSON value encodes, told apart by its key: a
     "kraus" key selects the channel format, a "vectors" key the basis format."""
-    from .channels import KrausChannel
-    from .measurements import OrthogonalBasis
-
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     if "kraus" in doc:

@@ -71,11 +71,6 @@ class PauliString:
         return anti % 2 == 0
 
 
-def _canonical(u: np.ndarray) -> np.ndarray:
-    fixed, _ = fix_phase(u)
-    return fixed
-
-
 def close_group(generators: Sequence[np.ndarray], max_order: int = 256) -> np.ndarray:
     """Breadth-first closure of the generators under products, modulo phase.
 
@@ -88,18 +83,18 @@ def close_group(generators: Sequence[np.ndarray], max_order: int = 256) -> np.nd
         mat = as_matrix(g)
         if not is_unitary(mat):
             raise ValueError("generators must be unitary")
-        gens.append(_canonical(mat))
+        gens.append(fix_phase(mat)[0])
     dim = gens[0].shape[0]
     if any(g.shape != (dim, dim) for g in gens):
         raise ValueError("generators must share one dimension")
 
-    elements = [_canonical(np.eye(dim, dtype=complex))]
+    elements = [fix_phase(np.eye(dim, dtype=complex))[0]]
     frontier = list(elements)
     while frontier:
         new_frontier = []
         for e in frontier:
             for g in gens:
-                candidate = _canonical(g @ e)
+                candidate = fix_phase(g @ e)[0]
                 if not any(mat_close(candidate, known, ATOL * dim) for known in elements):
                     elements.append(candidate)
                     new_frontier.append(candidate)
@@ -119,6 +114,17 @@ def twirl_channel(group: np.ndarray, dims: BiDims) -> KrausChannel:
     return KrausChannel(group * (1 / np.sqrt(len(group))), dims)
 
 
+def cell_twirl_kraus(rows: np.ndarray, a: np.ndarray, cols: np.ndarray,
+                     b: np.ndarray) -> np.ndarray:
+    """kron(F_alpha a_g F_alpha^dag, E_beta b_g E_beta^dag) / d for every cell (alpha, beta),
+    element for element as np.kron takes it, indexed (g, alpha, beta, A, B, A', B'). The
+    frames are F = ``rows`` (r_a, dim_a, d) and E = ``cols`` (r_b, dim_b, d); ``a`` is
+    (g, d, d) and ``b`` (g, 1 or r_a, 1 or r_b, d, d), so B's operator may depend on the cell."""
+    fa = rows @ a[:, None] @ rows.conj().transpose(0, 2, 1)  # (g, alpha, A, A)
+    eb = cols @ b @ cols.conj().transpose(0, 2, 1)  # (g, alpha, beta, B, B)
+    return fa[:, :, None, :, None, :, None] * eb[..., None, :, None, :] / rows.shape[-1]
+
+
 def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel:
     """Dephasing into the cells of a causal grid, then one matched twirl of every cell.
 
@@ -129,13 +135,8 @@ def grid_twirl_channel(basis: OrthogonalBasis, grid: CausalGrid) -> KrausChannel
     randomness and local operations implement the channel. Whether it equals
     the basis measurement is for the caller to decide by Choi equality.
     """
-    group = grid.unitaries[list(grid.cells[0][0])][:, None]  # (g, 1, d, d)
-    f, e = grid.rows, grid.cols
-    a = f @ group @ f.conj().transpose(0, 2, 1)  # (g, alpha, A, A)
-    b = e @ group.conj() @ e.conj().transpose(0, 2, 1)  # (g, beta, B, B)
-    # kron(a[g, alpha], b[g, beta]) for every (g, alpha, beta) as one outer product,
-    # element for element the products np.kron takes
-    kraus = a[:, :, None, :, None, :, None] * b[:, None, :, None, :, None, :] / grid.d
+    group = grid.unitaries[list(grid.cells[0][0])]
+    kraus = cell_twirl_kraus(grid.rows, group, grid.cols, group.conj()[:, None, None])
     return KrausChannel(kraus.reshape(-1, basis.dims.total, basis.dims.total), basis.dims)
 
 

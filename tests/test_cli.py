@@ -516,6 +516,31 @@ def test_build_invalid_args(tmp_path):
         assert main(["build", "stabilizer", blank, "-o", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("head, generators", [
+    (["stabilizer", "-o", "{out}", "--"], ["+XX", "-ZZ"]),
+    (["stabilizer", "-o", "{out}"], ["+XX", "+ZZ"]),
+    (["-o", "{out}", "stabilizer", "--"], ["-XX", "+ZZ"]),
+    (["stabilizer", "-o", "{out}", "--"], ["+XXX", "-ZZI", "-IZZ"]),
+])
+def test_build_stabilizer_reads_signed_generators_after_options(tmp_path, capsys, head,
+                                                                generators):
+    from qcausal.channels import choi, choi_distance
+    from qcausal.twirl import PauliString, stabilizer_channel
+
+    out = str(tmp_path / "stab.json")
+    assert main(["build", *(arg.format(out=out) for arg in head), *generators]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    expected = stabilizer_channel([PauliString.parse(g) for g in generators])
+    assert choi_distance(choi(load_document(out)), choi(expected)) == 0
+
+
+def test_build_signed_generator_before_options_is_refused(tmp_path, capsys):
+    # without "--" a signed generator reads as an unknown option
+    assert main(["build", "stabilizer", "+XX", "-ZZ", "-o", str(tmp_path / "x.json")]) == 2
+    assert "unrecognized arguments: -ZZ" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_build_unwritable_output_exit_2(tmp_path, capsys, target):
     out_path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
