@@ -17,14 +17,13 @@ outputs, read as real vectors, gives every ||X||_F^2 = G_ii + G_jj - 2 G_ij;
 that expansion cancels near X = 0 and is off by up to (2 d_out^2 + 2) eps
 (G_ii + G_jj), each entry summing 2 d_out^2 products, so each square gets a
 slack of ``GRAM_SLACK`` d_out^2 eps (G_ii + G_jj). It only prunes, so slack
-costs work, never a verdict. The top pair's difference x gives a floor with no
-LAPACK call, ||x||_1^2 >= 2 ||x||_F^2 - tr(x)^2 (equal for traceless 2x2 x). If
-other pairs reach it and d_out > 2, x's trace distance is the floor. The
-candidates are eigendecomposed in batches of ``ENTRY_BUDGET`` entries. The
-first maximum in (receiver probe, sender pair) row-major order wins. The
-winner's separation is replayed on the Kraus operators; at d_out = 2 the
-replay takes the closed form of ``linalg._trace_distance``, so a 2x2 scan
-with one candidate makes no LAPACK call at all.
+costs work, never a verdict. The floor is the top pair's trace distance, from
+``linalg._trace_distance``: its closed form at d_out = 2, one eigendecomposition
+above that. The candidates are eigendecomposed in batches of ``ENTRY_BUDGET``
+entries. The first maximum in (receiver probe, sender pair) row-major order
+wins. The winner's separation is replayed on the Kraus operators, again with
+``_trace_distance``, so a 2x2 scan with one candidate makes no LAPACK call at
+all.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -44,7 +43,6 @@ from .channels import KrausChannel, _choi_vectors
 from .linalg import (
     ATOL,
     BiDims,
-    _arange,
     _maximally_mixed,
     _trace_distance,
     frobenius,
@@ -111,39 +109,6 @@ def semicausal_test(ch: KrausChannel, direction: str, tol: float = ATOL) -> bool
     return frobenius(t - expected) < tol * math.prod(t.shape[:3])
 
 
-def measurement_marginal_residual(basis, direction: str) -> float:
-    """``semicausal_test``'s residual for ``measurement_channel(basis)``, from the vectors.
-
-    For the receiver A, with P_k = |b_k><b_k| and s_k = Tr_B P_k, the marginal is
-    sum_k conj(P_k) (x) s_k and its expected form sum_k (s_k^T (x) I_B/d_B) (x) s_k,
-    so the residual is the norm of one (n, d_A^2)^T @ (n, n^2) product of the s_k
-    with the stacked D_k = conj(P_k) - s_k^T (x) I_B/d_B. The s_k come from one
-    batched product of the state matrices; s_k^T stands in for s_k, which only
-    permutes the product's entries. The receiver B mirrors it with the factors swapped.
-    """
-    na, nb = basis.dims
-    states = basis.vectors.reshape(-1, na, nb)
-    k, conj = len(states), states.conj()
-    d = basis.projectors().conj().reshape(k, na, nb, na, nb)  # a fresh copy, changed in place
-    if direction == B_TO_A:
-        s_t = conj @ states.transpose(0, 2, 1)  # (k, A, A)
-        d[:, :, _arange(nb), :, _arange(nb)] -= s_t / nb
-    elif direction == A_TO_B:
-        s_t = conj.transpose(0, 2, 1) @ states  # (k, B, B)
-        d[:, _arange(na), :, _arange(na)] -= s_t / na
-    else:
-        raise ValueError(f"direction must be {B_TO_A!r} or {A_TO_B!r}, got {direction!r}")
-    m = s_t.reshape(k, -1).T @ d.reshape(k, -1)
-    return math.sqrt(np.vdot(m, m).real)
-
-
-def measurement_semicausal_test(basis, direction: str, tol: float = ATOL) -> bool:
-    """``semicausal_test(measurement_channel(basis), direction, tol)`` from the vectors:
-    :func:`measurement_marginal_residual` at the bar ``tol * n * d_receiver``."""
-    d_recv = basis.dims.dim_a if direction == B_TO_A else basis.dims.dim_b
-    return measurement_marginal_residual(basis, direction) < tol * basis.dims.total * d_recv
-
-
 def _receiver_output(kraus_stack: np.ndarray, dims: BiDims, direction: str,
                      phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     vec = np.multiply.outer(phi, psi) if direction == B_TO_A else np.multiply.outer(psi, phi)
@@ -188,12 +153,6 @@ def _trace_distances(diffs: np.ndarray, d_out: int) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(diffs.reshape(-1, d_out, d_out))).sum(axis=-1)
 
 
-def _frobenius_floor(x: np.ndarray, d: int) -> float:
-    """``0.5 sqrt(2 ||X||_F^2 - tr(X)^2) <= ||X||_1 / 2`` for Hermitian X, flattened in ``x``."""
-    tr = x[::d + 1].real.sum()
-    return 0.5 * math.sqrt(max(2 * np.vdot(x, x).real - tr * tr, 0.0))
-
-
 def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     """Exhaustive scan for a signaling protocol along ``direction``.
 
@@ -222,13 +181,10 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
                                                  + GRAM_SLACK * d_out ** 2 * EPS * scale)
         del gram, norms, scale  # 3 MB at 8x8, next to the batches
         r0, m0 = divmod(int(bound.argmax()), bound.shape[1])
-        x = out[r0, first[m0]] - out[r0, second[m0]]
-        rows, pairs = np.nonzero(bound >= _frobenius_floor(x, d_out) * (1 - PRUNE_MARGIN))
+        top = out[r0, [first[m0], second[m0]]].reshape(2, d_out, d_out)
+        rows, pairs = np.nonzero(bound >= _trace_distance(*top) * (1 - PRUNE_MARGIN))
         k = 0  # a lone candidate is the maximum: no eigendecomposition
         if len(rows) > 1:
-            if d_out > 2:  # at d_out <= 2 the first floor is exact for traceless x
-                keep = bound[rows, pairs] >= _trace_distances(x, d_out)[0] * (1 - PRUNE_MARGIN)
-                rows, pairs = rows[keep], pairs[keep]
             step = ENTRY_BUDGET // d_out ** 2
             batches = ((rows[i:i + step], pairs[i:i + step]) for i in range(0, len(rows), step))
             k = int(np.concatenate([_trace_distances(out[r, first[m]] - out[r, second[m]], d_out)

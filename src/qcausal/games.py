@@ -33,6 +33,8 @@ from .linalg import (
 from .protocols import sample_branch
 
 CIRELSON_VALUE = 0.5 + 0.5 / np.sqrt(2)  # == cos^2(pi/8)
+# Not --tol: a strategy is built here or by a caller, never read from a classified input.
+UNIT_STATE_TOL = 1e-9
 # _WINS[2x + y, 2a + b]: whether outputs (a, b) win on inputs (x, y).
 _WINS = np.array([[(a ^ b) == (x & y) for a, b in product((0, 1), repeat=2)]
                   for x, y in product((0, 1), repeat=2)])
@@ -74,7 +76,7 @@ class QuantumStrategy:
             raise ValueError("per-party observables must share a dimension")
         if state.shape[0] != da * db:
             raise ValueError("shared state does not match the observable dimensions")
-        if abs(np.linalg.norm(state) - 1) > 1e-9:
+        if abs(np.linalg.norm(state) - 1) > UNIT_STATE_TOL:
             raise ValueError("shared state must be a unit vector")
         for o in obs:
             if frobenius(o - o.conj().T) > ATOL * o.shape[0]:

@@ -38,6 +38,14 @@ from .measurements import _BELL_UNITARIES, CausalGrid, OrthogonalBasis, _blocks,
 
 EIGENSTATE_CLOSURE = "EigenstateClosure"
 PROJECTIVE_GROUP = "ProjectiveGroup"
+# Not --tol: a premise on the argument, and every caller in the package normalizes first.
+UNIT_NORM_TOL = 1e-9
+# Not --tol: a premise of the obstruction, and the closure search hands in unitaries only.
+INVERTIBLE_CUTOFF = 1e-9
+# Not --tol: checks the grid's own frames, per d; bases accepted at a larger --tol can fail it.
+UNITARY_TOL = 1e-8
+# Not --tol: premises of the group test, set loose so that rounding never trips them.
+GROUP_PREMISE_TOL = 1e-7
 
 
 class PreconditionError(ValueError):
@@ -54,7 +62,7 @@ class ObstructionCertificate:
 def is_eigenstate(ch: KrausChannel, psi: np.ndarray, tol: float = ATOL) -> bool:
     """True iff the channel maps |psi><psi| to itself (unit vector input)."""
     vec = as_vector(psi)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(vec) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("eigenstate check needs a unit vector")
     out = apply_to_vector(ch, vec)
     return frobenius(out - proj(vec)) < tol * ch.dim
@@ -74,9 +82,9 @@ def eigenstate_closure_test(ch: KrausChannel, psi: np.ndarray, a: np.ndarray,
     b = as_matrix(b)
     if a.shape != (na, na) or b.shape != (nb, nb):
         raise PreconditionError("local operators must match the local dimensions")
-    if min_singular_value(a) <= 1e-9:
+    if min_singular_value(a) <= INVERTIBLE_CUTOFF:
         raise PreconditionError("operator on side A is not invertible")
-    if min_singular_value(b) <= 1e-9:
+    if min_singular_value(b) <= INVERTIBLE_CUTOFF:
         raise PreconditionError("operator on side B is not invertible")
     vec = normalize(psi)
     if not is_eigenstate(ch, vec, tol):
@@ -150,7 +158,7 @@ def extract_unitaries(grid: CausalGrid) -> np.ndarray:
                          f"cells of dimension {grid.d})")
     stack, d = grid.unitaries, grid.d
     deviations = frobenius_norms(stack.conj().transpose(0, 2, 1) @ stack - np.eye(d), (1, 2))
-    unitary = deviations < 1e-8 * d
+    unitary = deviations < UNITARY_TOL * d
     if not unitary.all():
         raise ValueError(f"extracted operator {int(np.argmin(unitary))} is not unitary")
     return stack
@@ -169,9 +177,9 @@ def projective_group_test(stack: np.ndarray,
     """
     n, d = len(stack), stack.shape[1]
     gram = np.einsum("iab,jab->ij", stack.conj(), stack)  # tr(U_i^dag U_j)
-    if not frobenius(gram - d * np.eye(n)) <= 1e-7 * d * n:  # fails on NaN too
+    if not frobenius(gram - d * np.eye(n)) <= GROUP_PREMISE_TOL * d * n:  # fails on NaN too
         raise PreconditionError("unitaries violate the trace-orthogonality condition")
-    if not np.any(np.abs(np.trace(stack, axis1=1, axis2=2)) > d - 1e-7):
+    if not np.any(np.abs(np.trace(stack, axis1=1, axis2=2)) > d - GROUP_PREMISE_TOL):
         raise PreconditionError("no member is proportional to the identity")
     products = (stack[:, None] @ stack[None, :]).reshape(n * n, d * d)
     best = np.abs(stack.reshape(n, d * d).conj() @ products.T).max(axis=0)

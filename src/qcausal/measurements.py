@@ -18,12 +18,13 @@ construction is out of scope here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .causality import SEARCH_THRESHOLD
-from .channels import KrausChannel
+from .causality import A_TO_B, B_TO_A, SEARCH_THRESHOLD
+from .channels import KrausChannel, TPReport
 from .linalg import (
     ATOL,
     I2,
@@ -37,6 +38,7 @@ from .linalg import (
     _upper_pairs,
     alignment_unitary,
     as_vector,
+    dag,
     frobenius,
     frobenius_norms,
     haar_unitary,
@@ -233,6 +235,72 @@ def semicausal_basis_test(basis: OrthogonalBasis, side: str, tol: float = ATOL) 
     reported otherwise. Decided once per side and tolerance, then kept.
     """
     return _pair_tables(basis, side).verdict(_bar(basis, tol))
+
+
+def measurement_validate(basis: OrthogonalBasis, tol: float = ATOL) -> TPReport:
+    """``validate(measurement_channel(basis))`` from the vectors: with w_k = ||b_k||^2,
+    ``sum_k P_k^dag P_k`` is ``B diag(w) B^dag`` for the matrix B whose columns are the b_k."""
+    rows, conj = basis.vectors, basis.vectors.conj()  # finite and near unit norm by the Gram test
+    w = (rows * conj).real.sum(axis=1)
+    deviation = frobenius((rows.T * w) @ conj - _identity(len(rows)))
+    return TPReport(bool(deviation < tol), deviation)
+
+
+def measurement_marginal_residual(basis: OrthogonalBasis, direction: str) -> float:
+    """The residual of ``semicausal_test(measurement_channel(basis))``, from the vectors.
+
+    For the receiver A, with P_k = |b_k><b_k| and s_k = Tr_B P_k, the marginal is
+    sum_k conj(P_k) (x) s_k and its expected form sum_k (s_k^T (x) I_B/d_B) (x) s_k,
+    so the residual is the norm of one (n, d_A^2)^T @ (n, n^2) product of the s_k
+    with the stacked D_k = conj(P_k) - s_k^T (x) I_B/d_B. The s_k^T are the side's
+    pair-table states conjugated (each s_k is Hermitian); s_k^T stands in for s_k,
+    which only permutes the product's entries. The receiver B mirrors it with the
+    factors swapped.
+    """
+    na, nb = basis.dims
+    d = basis.projectors().conj().reshape(-1, na, nb, na, nb)  # a fresh copy, changed in place
+    if direction == B_TO_A:
+        s_t = _pair_tables(basis, "A").sigmas.conj()  # (k, A, A)
+        d[:, :, _arange(nb), :, _arange(nb)] -= s_t / nb
+    elif direction == A_TO_B:
+        s_t = _pair_tables(basis, "B").sigmas.conj()  # (k, B, B)
+        d[:, _arange(na), :, _arange(na)] -= s_t / na
+    else:
+        raise ValueError(f"direction must be {B_TO_A!r} or {A_TO_B!r}, got {direction!r}")
+    m = s_t.reshape(len(d), -1).T @ d.reshape(len(d), -1)
+    return math.sqrt(np.vdot(m, m).real)
+
+
+def measurement_semicausal_test(basis: OrthogonalBasis, direction: str, tol: float = ATOL) -> bool:
+    """``semicausal_test(measurement_channel(basis), direction, tol)`` from the vectors:
+    :func:`measurement_marginal_residual` at the bar ``tol * n * d_receiver``."""
+    d_recv = basis.dims.dim_a if direction == B_TO_A else basis.dims.dim_b
+    return measurement_marginal_residual(basis, direction) < tol * basis.dims.total * d_recv
+
+
+def measurement_distance(ch: KrausChannel, basis: OrthogonalBasis) -> float:
+    """``channel_distance(ch, measurement_channel(basis))``, read in the basis's frame.
+
+    In the frame U = B^-1 (the b_k as columns of B), U b_k = e_k exactly, so the
+    measurement's Choi state is sum_k |kk><kk| and ch's Kraus operators become
+    K'_j = U K_j U^dag. With a (n, J) their diagonals and O (J, n^2) the rest,
+    the squared distance is ||a a^dag - I||^2 + 2 ||a conj(O)||^2 + ||conj(O) O^T||^2:
+    norms of products and of one entrywise difference, no difference of large
+    squared norms. U is the inverse, not B^dag: the basis is orthonormal only
+    within the Gram bar, and B^dag would put an error of that size into the
+    picture, where the inverse's error stays relative to the distance.
+    """
+    if ch.dims != basis.dims:
+        raise ValueError("channel and basis have different dims")
+    n = ch.dim
+    u = np.linalg.inv(basis.vectors.T)
+    right = (ch.kraus.reshape(-1, n) @ dag(u)).reshape(-1, n, n)  # every K_j U^dag at once
+    off = (u @ right).reshape(len(right), -1)  # row j: K'_j, its diagonal zeroed below
+    a = off[:, ::n + 1].T.copy()
+    off[:, ::n + 1] = 0
+    conj = off.conj()
+    sq = [np.vdot(t, t).real for t in (a @ dag(a) - _identity(n), a @ conj, conj @ off.T)]
+    return math.sqrt(sq[0] + 2 * sq[1] + sq[2])
 
 
 def _schmidt(basis: OrthogonalBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ otherwise the report says that no obstruction was found, which is not a proof.
 
 A basis is classified in its own frame: trace preservation, the Choi-marginal
 cross-check of each side and the grid-twirl distance are read from its vectors
-(``measurement_validate``, ``measurement_semicausal_test``,
+(``measurements.measurement_validate``, ``measurement_semicausal_test`` and
 ``measurement_distance``). The measurement channel is built only where a step
 needs a channel: the 2x2 game value, the probe-search witness and the closure
 certificate. A channel input goes through ``validate``, ``semicausal_test`` and
@@ -26,17 +26,10 @@ from .causality import (
     B_TO_A,
     SEARCH_THRESHOLD,
     SignalWitness,
-    measurement_semicausal_test,
     semicausal_test,
     signaling_search,
 )
-from .channels import (
-    KrausChannel,
-    measurement_channel,
-    measurement_distance,
-    measurement_validate,
-    validate,
-)
+from .channels import KrausChannel, measurement_channel, validate
 from .games import CIRELSON_VALUE, channel_game_value
 from .linalg import ATOL, BiDims
 from .measurements import (
@@ -44,6 +37,9 @@ from .measurements import (
     OrthogonalBasis,
     basis_signaling_witness,
     causal_structure,
+    measurement_distance,
+    measurement_semicausal_test,
+    measurement_validate,
     semicausal_basis_test,
 )
 from .serialize import matrix_to_json
@@ -51,6 +47,8 @@ from .twirl import grid_twirl_channel
 
 PAIRWISE_CRITERION = "pairwise-reduced-states"
 CHOI_CRITERION = "choi-marginal"
+# Not --tol: it covers the rounding of a sum of probabilities, not operator equality.
+GAME_VALUE_MARGIN = 1e-9
 
 
 @dataclass
@@ -192,7 +190,7 @@ def _analyze_localizability(report: ClassificationReport, basis: OrthogonalBasis
 def _attach_game_value(report: ClassificationReport, ch: KrausChannel) -> None:
     value = channel_game_value(ch)
     report.game_value = float(value)
-    if value > CIRELSON_VALUE + 1e-9:
+    if value > CIRELSON_VALUE + GAME_VALUE_MARGIN:
         report.obstructions.append({
             "kind": "GameValue",
             "value": float(value),

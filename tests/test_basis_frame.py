@@ -20,21 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcausal import channels
-from qcausal.causality import (
-    A_TO_B,
-    B_TO_A,
-    _marginal,
-    measurement_marginal_residual,
-    measurement_semicausal_test,
-    semicausal_test,
-)
+from qcausal.causality import A_TO_B, B_TO_A, _marginal, semicausal_test
 from qcausal.channels import (
     KrausChannel,
     channel_distance,
     identity_channel,
     measurement_channel,
-    measurement_distance,
-    measurement_validate,
     validate,
 )
 from qcausal.linalg import ATOL, BiDims, _maximally_mixed, frobenius, haar_unitary
@@ -43,6 +34,10 @@ from qcausal.measurements import (
     OrthogonalBasis,
     causal_grid_basis,
     causal_structure,
+    measurement_distance,
+    measurement_marginal_residual,
+    measurement_semicausal_test,
+    measurement_validate,
     rotate_basis,
 )
 from qcausal.report import classify_basis

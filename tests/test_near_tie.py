@@ -8,6 +8,10 @@ fixed bars sit at different scales: the pairwise bar ``tol * max(1, n)`` and
 the Choi-marginal bar ``tol * dim`` split a near tie, and the structure pass
 rejects states a few 1e-9 off a cell. These are strict xfails: the mend is one
 tolerance scale (ROADMAP direction 4), and a test that starts to pass marks it.
+
+The Gram bar of ``OrthogonalBasis`` is the same fault the other way round: it
+accepts a basis whose measurement is not trace preserving, so ``classify``
+exits 0 on the basis and 3 on its measurement channel.
 """
 
 import re
@@ -15,9 +19,14 @@ import re
 import numpy as np
 import pytest
 
-from qcausal.channels import measurement_channel, measurement_validate
+from qcausal.channels import measurement_channel
 from qcausal.linalg import BiDims
-from qcausal.measurements import OrthogonalBasis, causal_grid_basis
+from qcausal.measurements import (
+    OrthogonalBasis,
+    causal_grid_basis,
+    measurement_validate,
+    product_basis,
+)
 from qcausal.report import classify_basis, classify_channel
 
 EPS = 1e-9
@@ -63,3 +72,17 @@ def test_near_tie_basis_classifies(case, message):
         # another message is another fault: an AssertionError fails the xfail
         assert re.search(message, str(exc)), str(exc)
         raise
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="Gram bar and trace-preservation bar differ; ROADMAP direction 4")
+def test_accepted_basis_is_trace_preserving():
+    # every vector scaled by 1 + 6e-10: Gram deviation 2.4e-9 under the bar 4e-9,
+    # trace-preservation deviation 4.8e-9 over the bar 1e-9, so the basis report
+    # reads tp false and classify_channel on its measurement channel raises
+    dims = BiDims(2, 2)
+    try:
+        basis = OrthogonalBasis(product_basis(dims).vectors * (1 + 6e-10), dims)
+    except ValueError:
+        return  # rejected: no accepted basis fails trace preservation
+    assert classify_basis(basis).tp

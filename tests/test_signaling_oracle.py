@@ -19,7 +19,6 @@ from qcausal.causality import (
     A_TO_B,
     B_TO_A,
     SEARCH_THRESHOLD,
-    _frobenius_floor,
     _ic_probes,
     _marginal,
     _receiver_output,
@@ -107,7 +106,7 @@ def test_search_matches_exhaustive_scan(near_causal_basis):
         ("controlled-2x3", _controlled_unitary(haar_unitary(3, rng))),
         ("bell-twirl", bell_twirl()),
         ("near-causal", measurement_channel(near_causal_basis)),
-        # Only the top pair reaches the Frobenius floor in both directions of the
+        # Only the top pair reaches the floor in both directions of the
         # next four and B->A of kraus-2x3-k3; 6 pairs do in its A->B, and hundreds
         # in each direction of kraus-4x4-k1.
         ("kraus-2x2-k1", _random_kraus(BiDims(2, 2), 1, rng)),
@@ -213,8 +212,8 @@ def test_search_eigendecomposes_fewer_than_half_of_the_pairs(eigvalsh_shapes):
 
 
 def test_one_candidate_2x2_scan_makes_no_eigvalsh_call(eigvalsh_shapes):
-    """On this 2x2 channel no pair but the top one reaches the Frobenius floor in
-    either direction, and the replay takes the 2x2 closed form."""
+    """On this 2x2 channel no pair but the top one reaches the floor in either
+    direction, and the floor and the replay take the 2x2 closed form."""
     ch = _random_kraus(BiDims(2, 2), 1, np.random.default_rng(1))
     for direction in (B_TO_A, A_TO_B):
         assert _scan_shapes(eigvalsh_shapes, ch, direction) == [], direction
@@ -222,8 +221,8 @@ def test_one_candidate_2x2_scan_makes_no_eigvalsh_call(eigvalsh_shapes):
 
 def test_tied_2x2_scan_needs_no_exact_floor(eigvalsh_shapes):
     """On sorkin four pairs tie at the top in each direction. With d_out = 2 the
-    Frobenius floor is exact and the replay takes the closed form, so the scan
-    makes one batched call, over the candidates."""
+    floor and the replay take the closed form, so the scan makes one batched
+    call, over the candidates."""
     ch = _fixture("sorkin.json")
     for direction in (B_TO_A, A_TO_B):
         assert _scan_shapes(eigvalsh_shapes, ch, direction) == [(4, 2, 2)], direction
@@ -231,31 +230,12 @@ def test_tied_2x2_scan_needs_no_exact_floor(eigvalsh_shapes):
 
 def test_tied_scan_at_d_out_3_keeps_floor_candidates_and_replay(eigvalsh_shapes):
     """A controlled 3x3 unitary signals A->B with four pairs at the top. At
-    d_out = 3 the Frobenius floor is not exact, so the scan eigendecomposes the
-    exact floor, then the candidates, and the replay eigendecomposes its
-    separation; B->A has d_out = 2 and makes only the candidate call."""
+    d_out = 3 the scan eigendecomposes the top pair for the floor, then the
+    candidates, and the replay eigendecomposes its separation; B->A has
+    d_out = 2 and makes only the candidate call."""
     ch = _controlled_unitary(haar_unitary(3, np.random.default_rng(2)))
-    assert _scan_shapes(eigvalsh_shapes, ch, A_TO_B) == [(1, 3, 3), (4, 3, 3), (3, 3)]
+    assert _scan_shapes(eigvalsh_shapes, ch, A_TO_B) == [(3, 3), (4, 3, 3), (3, 3)]
     assert _scan_shapes(eigvalsh_shapes, ch, B_TO_A) == [(2, 2, 2)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8), st.integers(-9, 1), st.booleans(), st.floats(-1e-9, 1e-9),
-       st.integers(0, 2**32 - 1))
-def test_frobenius_floor_bounds_the_trace_distance(d, exponent, traceless, trace, seed):
-    """0.5 sqrt(2 ||X||_F^2 - tr(X)^2) never exceeds ||X||_1 / 2 beyond rounding,
-    for X traceless or with a trace within the trace-preservation tolerance, and
-    equals it for traceless 2x2 X (up to eigvalsh's own rounding: 5 ulps seen
-    in 600,000 draws, so 8 are allowed)."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    x = (z + z.conj().T) * 10.0 ** exponent
-    x -= (np.trace(x).real - (0.0 if traceless else trace)) / d * np.eye(d)
-    floor = _frobenius_floor(x.reshape(-1), d)
-    exact = 0.5 * np.abs(np.linalg.eigvalsh(x)).sum()
-    assert floor <= exact * (1 + 1e-12), (floor, exact)
-    if d == 2 and traceless:
-        assert abs(floor - exact) <= 8 * np.spacing(exact), (floor, exact)
 
 
 def test_probe_tables_are_cached_and_read_only():
