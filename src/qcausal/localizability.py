@@ -231,29 +231,29 @@ def closure_obstruction_search(basis: OrthogonalBasis, grid: CausalGrid,
     closure needs the joint move to land on an eigenstate too. In the grid's
     cell unitaries that joint state is J = W_a W_u^dag W_b in cell
     (alpha, beta); the measurement leaves it sqrt(1 - sum_c p_c**2) from its
-    projector, p_c = |tr(W_c^dag J) / d|**2 over the cell's members. The
-    first triple, in (alpha, beta, u, a, b) order, at or above the bar goes
-    with its two local moves to :func:`eigenstate_closure_test`, which checks
-    every premise on the measurement channel and returns the certificate.
+    projector, p_c = |tr(W_c^dag J) / d|**2 over the cell's members. Every
+    cell is scored, the anchor's too; each triple at or above the bar, in
+    (alpha, beta, u, a, b) order, goes with its moves to the premise-checking
+    :func:`eigenstate_closure_test`, and a failed premise skips the triple.
     """
-    ch, states, w = None, basis.vectors.reshape(-1, *basis.dims), grid.unitaries
-    for alpha in range(1, grid.r_a):
-        for beta in range(1, grid.r_b):
-            src, dst_a, dst_b, cell = (list(grid.cells[r][c]) for r, c in
-                                       ((0, 0), (alpha, 0), (0, beta), (alpha, beta)))
-            joint = np.einsum("aij,ukj,bkl->uabil", w[dst_a], w[src].conj(), w[dst_b])
-            overlaps = np.einsum("cij,uabij->uabc", w[cell].conj(), joint) / grid.d
-            # 1 - sum p**2 = sum_{c != m} p_c (1 + p_m - p_c) as sum p = 1; the
-            # right side, with the peak p_m sorted last, cancels nothing
-            p = np.sort(np.abs(overlaps) ** 2, axis=-1)
-            residual = np.sqrt((p[..., :-1] * (1 + p[..., -1:] - p[..., :-1])).sum(axis=-1))
-            for u, a, b in np.argwhere(residual >= tol * basis.dims.total):  # row-major
-                u, a, b = src[u], dst_a[a], dst_b[b]
-                if ch is None:
-                    ch = measurement_channel(basis)
-                cert = eigenstate_closure_test(
-                    ch, basis.vectors[u], alignment_unitary(states[u], states[a]),
-                    alignment_unitary(states[u].T, states[b].T), tol)
-                if cert is not None:
-                    return cert
+    ch, states, cells = None, basis.vectors.reshape(-1, *basis.dims), np.asarray(grid.cells)
+    w = grid.unitaries[cells]  # (r_a, r_b, d**2, d, d)
+    joint = np.einsum("Aaij,ukj,Bbkl->ABuabil", w[:, 0], w[0, 0].conj(), w[0], optimize=True)
+    overlaps = np.einsum("ABcij,ABuabij->ABuabc", w.conj(), joint, optimize=True) / grid.d
+    # 1 - sum p**2 = sum_{c != m} p_c (1 + p_m - p_c) as sum p = 1; the
+    # right side, with the peak p_m sorted last, cancels nothing
+    p = np.sort(np.abs(overlaps) ** 2, axis=-1)
+    residual = np.sqrt((p[..., :-1] * (1 + p[..., -1:] - p[..., :-1])).sum(axis=-1))
+    for alpha, beta, u, a, b in np.argwhere(residual >= tol * basis.dims.total):  # row-major
+        u, a, b = cells[0, 0, u], cells[alpha, 0, a], cells[0, beta, b]
+        if ch is None:
+            ch = measurement_channel(basis)
+        try:
+            cert = eigenstate_closure_test(
+                ch, basis.vectors[u], alignment_unitary(states[u], states[a]),
+                alignment_unitary(states[u].T, states[b].T), tol)
+        except PreconditionError:
+            continue
+        if cert is not None:
+            return cert
     return None

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcausal import measurements
+from qcausal import localizability, measurements
 from qcausal.channels import identity_channel, measurement_channel
 from qcausal.linalg import BiDims, HADAMARD, PAULI_X, PAULI_Z, haar_unitary
 from qcausal.localizability import (
+    EIGENSTATE_CLOSURE,
+    PROJECTIVE_GROUP,
     PreconditionError,
     closure_obstruction_search,
     eigenstate_closure_test,
@@ -25,10 +27,13 @@ from qcausal.localizability import (
 )
 from qcausal.measurements import (
     OrthogonalBasis,
+    _blocks,
+    _phase_unitaries,
     bell_basis,
     bell_states,
     causal_grid_basis,
     causal_structure,
+    cell_states,
     product_basis,
     rotate_basis,
 )
@@ -96,6 +101,36 @@ def test_closure_search_fires_only_for_genuine_twists():
         basis = twisted_partition_basis(u)
         cert = closure_obstruction_search(basis, causal_structure(basis))
         assert (cert is not None) == obstructed
+
+
+def test_closure_search_skips_a_triple_whose_premise_fails(monkeypatch):
+    # a failed premise means the triple proves nothing, not that the input is invalid
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PreconditionError("(a x I) psi is not an eigenstate")
+        return eigenstate_closure_test(*args, **kwargs)
+
+    monkeypatch.setattr(localizability, "eigenstate_closure_test", first_fails)
+    basis = twisted_partition_basis(HADAMARD)
+    cert = closure_obstruction_search(basis, causal_structure(basis))
+    assert len(calls) == 2 and cert.kind == EIGENSTATE_CLOSURE
+    assert abs(cert.residual - np.sqrt(0.5)) < 1e-9
+
+
+def test_closure_search_scans_the_anchor_cell(rng):
+    # a one-cell grid has only the anchor's cell, and the mismatch set fails closure there
+    mismatch = mismatch_basis()
+    for basis in (mismatch, rotate_basis(mismatch, haar_unitary(4, rng), haar_unitary(4, rng))):
+        cert = closure_obstruction_search(basis, causal_structure(basis))
+        assert cert.kind == EIGENSTATE_CLOSURE and abs(cert.residual - np.sqrt(0.5)) < 1e-9
+    for basis in (causal_grid_basis(BiDims(4, 4), 4), bell_basis(),
+                  causal_grid_basis(BiDims(4, 4), 2)):
+        assert closure_obstruction_search(basis, causal_structure(basis)) is None
+    # the report still sends a one-cell grid to the group test
+    assert [c["kind"] for c in classify_basis(mismatch).obstructions] == [PROJECTIVE_GROUP]
 
 
 def test_extract_unitaries_bell_basis():
@@ -285,6 +320,19 @@ def _verdict_summary(basis: OrthogonalBasis) -> tuple:
             [c["kind"] for c in report.obstructions], report.localizability)
 
 
+def _one_row_probe() -> OrthogonalBasis:
+    """4x8, one row of two cells: HW(4) on B's first block, the mismatch set on its second."""
+    cells = np.stack([_phase_unitaries(4), np.stack(mismatch_unitaries())])
+    return OrthogonalBasis(cell_states(np.eye(4), cells, _blocks(8, 4)[:, None]).reshape(32, 32),
+                           BiDims(4, 8))
+
+
+def _party_swap(basis: OrthogonalBasis) -> OrthogonalBasis:
+    na, nb = basis.dims
+    vectors = basis.vectors.reshape(-1, na, nb).transpose(0, 2, 1).reshape(basis.size, -1)
+    return OrthogonalBasis(vectors, BiDims(nb, na))
+
+
 @pytest.fixture(scope="module")
 def verdict_cases(corpus, twisted_cell_basis):
     fixtures = [(name, load_document(str(resources.files("qcausal") / "fixtures" / name)))
@@ -292,8 +340,13 @@ def verdict_cases(corpus, twisted_cell_basis):
     # a multi-cell closure input beyond the 4x4 quadrants, with a certificate
     twisted = twisted_cell_basis(6, 3, haar_unitary(3, np.random.default_rng(5)))
     assert classify_basis(twisted).obstructions[0]["kind"] == "EigenstateClosure"
+    # one-row and one-column grids, certified in the anchor's row or column
+    probes = [("one-row-4x8", _one_row_probe()), ("one-column-8x4", _party_swap(_one_row_probe()))]
+    for _, basis in probes:
+        assert classify_basis(basis).localizability == ("not localizable "
+                                                        "(eigenstate-closure certificate)")
     return [(name, basis, _verdict_summary(basis))
-            for name, basis in corpus + fixtures + [("twisted-cell-6x6-d3", twisted)]]
+            for name, basis in corpus + fixtures + [("twisted-cell-6x6-d3", twisted)] + probes]
 
 
 @settings(max_examples=3, deadline=None)
