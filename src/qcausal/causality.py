@@ -11,19 +11,21 @@ the product input, and the probe states |i>, (|i>+|j>)/sqrt(2) and
 separates the receiver's outputs iff the channel signals. A returned witness
 is a working signaling protocol that replays on the Kraus operators.
 
-The scan eigendecomposes only the probe-pair differences X that can win, as
+When the receiver's output is a qubit (d_out = 2), the scan scores every
+probe-pair difference X in one vectorised pass with the closed form of
+``linalg._trace_distance`` (``linalg._qubit_trace_norms``): no bound, floor or
+LAPACK call. Above that it eigendecomposes only the X that can win, as
 ||X||_F <= ||X||_1 <= sqrt(d_out) ||X||_F. One batched Gram product G of the
 outputs, read as real vectors, gives every ||X||_F^2 = G_ii + G_jj - 2 G_ij;
 that expansion cancels near X = 0 and is off by up to (2 d_out^2 + 2) eps
 (G_ii + G_jj), each entry summing 2 d_out^2 products, so each square gets a
 slack of ``GRAM_SLACK`` d_out^2 eps (G_ii + G_jj). It only prunes, so slack
-costs work, never a verdict. The floor is the top pair's trace distance, from
-``linalg._trace_distance``: its closed form at d_out = 2, one eigendecomposition
-above that. The candidates are eigendecomposed in batches of ``ENTRY_BUDGET``
-entries. The first maximum in (receiver probe, sender pair) row-major order
-wins. The winner's separation is replayed on the Kraus operators, again with
-``_trace_distance``, so a 2x2 scan with one candidate makes no LAPACK call at
-all.
+costs work, never a verdict. The floor is the top pair's trace distance, one
+eigendecomposition, and the candidates are eigendecomposed in batches of
+``ENTRY_BUDGET`` entries. Either way the first maximum in (receiver probe,
+sender pair) row-major order wins. The winner's separation is replayed on the
+Kraus operators with ``_trace_distance``, so a qubit-receiver scan makes no
+LAPACK call at all.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -44,6 +46,7 @@ from .linalg import (
     ATOL,
     BiDims,
     _maximally_mixed,
+    _qubit_trace_norms,
     _trace_distance,
     frobenius,
     is_unitary,
@@ -159,9 +162,10 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     Every receiver probe meets every pair of sender probes (:func:`_ic_probes`);
     the receiver probe and sender pair whose outputs lie furthest apart in
     trace distance make the witness, the first in row-major (probe, pair)
-    order on ties. Only pairs whose Gram bound ``sqrt(d_out) ||X||_F / 2``
-    reaches the floor within ``PRUNE_MARGIN`` are eigendecomposed (see the
-    module docstring). The witness's separation is recomputed from the Kraus
+    order on ties. At d_out = 2 every pair is scored in closed form; above
+    that, only pairs whose Gram bound ``sqrt(d_out) ||X||_F / 2`` reaches the
+    floor within ``PRUNE_MARGIN`` are eigendecomposed (see the module
+    docstring). The witness's separation is recomputed from the Kraus
     operators, so it replays. Returns nothing when the best separation is at
     most ``SEARCH_THRESHOLD``: the channel then blocks signaling, or signals
     so weakly that no probe pair shows it above that threshold.
@@ -172,7 +176,11 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     send, send_proj, first, second = _ic_probes(t.shape[1])
     out = _probe_outputs(t, recv_proj, send_proj)
     p = q = q_alt = 0
-    if len(first):
+    if len(first) and d_out == 2:
+        scores = _qubit_trace_norms(out[:, first] - out[:, second])  # (receiver probe, pair)
+        p, m = divmod(int(scores.argmax()), scores.shape[1])
+        q, q_alt = int(first[m]), int(second[m])
+    elif len(first):
         flat = out.view(float)
         gram = flat @ flat.transpose(0, 2, 1)
         norms = gram.diagonal(axis1=1, axis2=2)

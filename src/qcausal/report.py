@@ -42,7 +42,7 @@ from .measurements import (
     measurement_validate,
     semicausal_basis_test,
 )
-from .serialize import matrix_to_json
+from .serialize import columns_to_json, matrix_to_json
 from .twirl import grid_twirl_channel
 
 PAIRWISE_CRITERION = "pairwise-reduced-states"
@@ -109,12 +109,13 @@ def _serialize_basis_witness(w: BasisWitness) -> dict:
 
 
 def _serialize_search_witness(w: SignalWitness) -> dict:
+    receiver, sender, alternative = columns_to_json(w.phi, w.psi, w.psi_prime)
     return {
         "kind": "pure-product-search",
         "direction": w.direction,
-        "receiverState": matrix_to_json(w.phi),
-        "senderState": matrix_to_json(w.psi),
-        "senderStateAlternative": matrix_to_json(w.psi_prime),
+        "receiverState": receiver,
+        "senderState": sender,
+        "senderStateAlternative": alternative,
         "separation": w.separation,
     }
 

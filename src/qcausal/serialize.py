@@ -36,12 +36,28 @@ def _integer(doc: dict[str, Any], key: str) -> int:
 
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     arr = np.asarray(m, dtype=complex)
-    mat = np.ascontiguousarray(as_matrix(arr.reshape(-1, 1) if arr.ndim == 1 else arr))
+    if arr.ndim == 1:
+        return columns_to_json(arr)[0]
+    mat = np.ascontiguousarray(as_matrix(arr))
     return {
         "rows": mat.shape[0],
         "cols": mat.shape[1],
         "data": mat.view(float).reshape(-1, 2).tolist(),
     }
+
+
+def columns_to_json(*vectors: np.ndarray) -> list[dict[str, Any]]:
+    """Each 1-D vector as the single-column matrix object :func:`matrix_to_json`
+    writes, with one finiteness check and one ``tolist`` for all of them."""
+    flat = np.concatenate(vectors, dtype=complex)
+    if not _all_finite(flat):
+        raise ValueError("matrix has non-finite entries")
+    data = flat.view(float).reshape(-1, 2).tolist()
+    docs, start = [], 0
+    for v in vectors:
+        docs.append({"rows": len(v), "cols": 1, "data": data[start:start + len(v)]})
+        start += len(v)
+    return docs
 
 
 def _header(doc: dict[str, Any]) -> tuple[int, int, list]:

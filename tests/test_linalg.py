@@ -13,6 +13,7 @@ from qcausal.linalg import (
     _arange,
     _identity,
     _maximally_mixed,
+    _qubit_trace_norms,
     _trace_distance,
     _upper_pairs,
     alignment_unitary,
@@ -195,6 +196,40 @@ def test_2x2_closed_form_matches_eigvalsh(kind, exponent, seed):
     assert abs(got - eig) <= 16 * np.spacing(eig), (kind, got, eig)
     exact = _exact_half_trace_norm(h)
     assert abs(got - exact) <= 2 * np.spacing(exact), (kind, got, exact)
+
+
+# The qubit IC probes |0>, |1>, |+>, |+i> (rows) and the S gate, for exact Clifford ties.
+_QUBIT_PROBES = np.array([[1, 0], [0, 1], [1, 1], [1, 1j]]) / np.sqrt([[1], [1], [2], [2]])
+_PHASE_S = np.diag([1, 1j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["non-hermitian", "zero", "clifford"]), st.integers(-40, 10),
+       st.integers(0, 2**32 - 1))
+def test_qubit_trace_norms_equal_the_kernel_bit_for_bit(kind, exponent, seed):
+    """The witness scan's vectorised qubit scores against _trace_distance, which
+    replays the witness, on 6 pairs batched as the scan batches them
+    (receiver probe, sender pair, entry), bit for bit. Pairs are Hermitian
+    matrices off by noise of relative size 1e-15 (slightly non-Hermitian, as
+    the scan's outputs are), equal matrices (zero differences), or the probe
+    projectors turned by one word in H and S, whose pairs tie exactly."""
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** exponent  # a power of two keeps the Clifford ties exact
+    if kind == "clifford":
+        c = np.eye(2, dtype=complex)
+        for gate in rng.integers(0, 2, size=rng.integers(0, 9)):
+            c = (HADAMARD, _PHASE_S)[gate] @ c
+        turned = c @ _QUBIT_PROBES.T
+        states = scale * np.einsum("ip,jp->pij", turned, turned.conj())
+        i, j = np.triu_indices(4, 1)
+        rho, sigma = states[i], states[j]
+    else:
+        x = scale * (rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2)))
+        rho = (x + x.conj().transpose(0, 2, 1)) / 2 + 1e-15 * scale * rng.normal(size=(6, 2, 2))
+        sigma = rho.copy() if kind == "zero" else rng.permutation(rho)
+    got = _qubit_trace_norms((rho - sigma).reshape(2, 3, 4))
+    want = np.array([_trace_distance(r, s) for r, s in zip(rho, sigma)]).reshape(2, 3)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (kind, got, want)
 
 
 def test_trace_distance_checks_its_inputs():

@@ -45,6 +45,22 @@ def test_search_witness_states_encode_as_matrix_to_json():
                 assert json.dumps(doc[key]) == want, (d, key)
 
 
+def test_search_witness_encodes_its_states_in_one_pass(rng):
+    """Three states of different lengths encode as matrix_to_json encodes each,
+    and a NaN in any of them fails with matrix_to_json's error."""
+    states = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (2, 3, 3)]
+    doc = _serialize_search_witness(SignalWitness(B_TO_A, *states, 0.5))
+    for key, v in zip(("receiverState", "senderState", "senderStateAlternative"), states):
+        assert doc[key] == matrix_to_json(v) == matrix_to_json(v.reshape(-1, 1)), key
+    for k in range(3):
+        bad = [v.copy() for v in states]
+        bad[k][-1] = np.nan
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            _serialize_search_witness(SignalWitness(B_TO_A, *bad, 0.5))
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            matrix_to_json(bad[k].reshape(-1, 1))
+
+
 def test_matrix_rejects_bad_documents():
     with pytest.raises(ParseError):
         _matrices_from_json([{"rows": 2, "cols": 2, "data": [[1, 0]]}])

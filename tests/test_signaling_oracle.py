@@ -26,7 +26,7 @@ from qcausal.causality import (
     signaling_search,
 )
 from qcausal.channels import KrausChannel, measurement_channel
-from qcausal.linalg import BiDims, haar_unitary, tensor_product, trace_distance
+from qcausal.linalg import HADAMARD, BiDims, haar_unitary, tensor_product, trace_distance
 from qcausal.measurements import haar_basis
 from qcausal.serialize import load_document
 from qcausal.twirl import bell_twirl
@@ -98,6 +98,7 @@ def _fixture(name):
 def test_search_matches_exhaustive_scan(near_causal_basis):
     rng = np.random.default_rng(8)
     cnot = np.array([[0, 1], [1, 0]], dtype=complex)
+    phase_s = np.diag([1, 1j])
     channels = [
         ("sorkin", _fixture("sorkin.json")),
         ("andbox", _fixture("andbox.json")),
@@ -115,6 +116,15 @@ def test_search_matches_exhaustive_scan(near_causal_basis):
         ("kraus-2x3-k3", _random_kraus(BiDims(2, 3), 3, rng)),
         ("haar-measurement-2x2", measurement_channel(haar_basis(BiDims(2, 2), rng))),
         ("kraus-4x4-k1", _random_kraus(BiDims(4, 4), 1, rng)),
+        # The largest qubit-receiver scans: 64 sender probes, 2,016 pairs, in
+        # B->A of the first and A->B of the second.
+        ("kraus-2x8-k2", _random_kraus(BiDims(2, 8), 2, rng)),
+        ("kraus-8x2-k2", _random_kraus(BiDims(8, 2), 2, rng)),
+        # Cliffords: two pairs tie exactly at the top (but in controlled-H's A->B),
+        # and in controlled-H's B->A and controlled-HS two to six more lie 1-2 ulps below.
+        ("controlled-H", _controlled_unitary(HADAMARD)),
+        ("controlled-S", _controlled_unitary(phase_s)),
+        ("controlled-HS", _controlled_unitary(HADAMARD @ phase_s)),
     ]
     for name, ch in channels:
         _assert_search_matches_reference(name, ch)
@@ -212,30 +222,30 @@ def test_search_eigendecomposes_fewer_than_half_of_the_pairs(eigvalsh_shapes):
 
 
 def test_one_candidate_2x2_scan_makes_no_eigvalsh_call(eigvalsh_shapes):
-    """On this 2x2 channel no pair but the top one reaches the floor in either
-    direction, and the floor and the replay take the 2x2 closed form."""
+    """No pair of this 2x2 channel ties with the top one in either direction;
+    every pair and the replay take the 2x2 closed form."""
     ch = _random_kraus(BiDims(2, 2), 1, np.random.default_rng(1))
     for direction in (B_TO_A, A_TO_B):
         assert _scan_shapes(eigvalsh_shapes, ch, direction) == [], direction
 
 
 def test_tied_2x2_scan_needs_no_exact_floor(eigvalsh_shapes):
-    """On sorkin four pairs tie at the top in each direction. With d_out = 2 the
-    floor and the replay take the closed form, so the scan makes one batched
-    call, over the candidates."""
+    """On sorkin four pairs tie at the top in each direction. With d_out = 2
+    every pair and the replay take the closed form, tied or not, so the scan
+    makes no eigvalsh call."""
     ch = _fixture("sorkin.json")
     for direction in (B_TO_A, A_TO_B):
-        assert _scan_shapes(eigvalsh_shapes, ch, direction) == [(4, 2, 2)], direction
+        assert _scan_shapes(eigvalsh_shapes, ch, direction) == [], direction
 
 
 def test_tied_scan_at_d_out_3_keeps_floor_candidates_and_replay(eigvalsh_shapes):
     """A controlled 3x3 unitary signals A->B with four pairs at the top. At
     d_out = 3 the scan eigendecomposes the top pair for the floor, then the
     candidates, and the replay eigendecomposes its separation; B->A has
-    d_out = 2 and makes only the candidate call."""
+    d_out = 2 and makes no call."""
     ch = _controlled_unitary(haar_unitary(3, np.random.default_rng(2)))
     assert _scan_shapes(eigvalsh_shapes, ch, A_TO_B) == [(3, 3), (4, 3, 3), (3, 3)]
-    assert _scan_shapes(eigvalsh_shapes, ch, B_TO_A) == [(2, 2, 2)]
+    assert _scan_shapes(eigvalsh_shapes, ch, B_TO_A) == []
 
 
 def test_probe_tables_are_cached_and_read_only():
