@@ -14,18 +14,35 @@ is a working signaling protocol that replays on the Kraus operators.
 When the receiver's output is a qubit (d_out = 2), the scan scores every
 probe-pair difference X in one vectorised pass with the closed form of
 ``linalg._trace_distance`` (``linalg._qubit_trace_norms``): no bound, floor or
-LAPACK call. Above that it eigendecomposes only the X that can win, as
-||X||_F <= ||X||_1 <= sqrt(d_out) ||X||_F. One batched Gram product G of the
-outputs, read as real vectors, gives every ||X||_F^2 = G_ii + G_jj - 2 G_ij;
-that expansion cancels near X = 0 and is off by up to (2 d_out^2 + 2) eps
-(G_ii + G_jj), each entry summing 2 d_out^2 products, so each square gets a
-slack of ``GRAM_SLACK`` d_out^2 eps (G_ii + G_jj). It only prunes, so slack
-costs work, never a verdict. The floor is the top pair's trace distance, one
-eigendecomposition, and the candidates are eigendecomposed in batches of
-``ENTRY_BUDGET`` entries. Either way the first maximum in (receiver probe,
-sender pair) row-major order wins. The winner's separation is replayed on the
-Kraus operators with ``_trace_distance``, so a qubit-receiver scan makes no
-LAPACK call at all.
+LAPACK call. Above that it eigendecomposes only the X that can win, pruned by
+two upper bounds on 0.5 ||X||_1. Each only prunes, so its slack costs work,
+never a verdict.
+
+The Gram bound: ||X||_F <= ||X||_1 <= sqrt(d_out) ||X||_F. One batched Gram
+product G of the outputs, read as real vectors, gives every
+||X||_F^2 = G_ii + G_jj - 2 G_ij; that expansion cancels near X = 0 and is off
+by up to (2 d_out^2 + 2) eps (G_ii + G_jj), each entry summing 2 d_out^2
+products, so each square gets a slack of ``GRAM_SLACK`` d_out^2 eps
+(G_ii + G_jj). The floor is the score of the pair with the largest Gram bound,
+one eigendecomposition of the same matrix the candidates' scores read.
+
+The fourth-moment bound, on the Hermitian matrix H that ``eigvalsh`` reads from a
+raw difference (its lower triangle and real diagonal): with eigenvalues l_i,
+p2 = ||H||_F^2 and p4 = ||H^2||_F^2, Cauchy-Schwarz over the d_out (d_out - 1)
+ordered pairs i != j gives ||H||_1^2 = p2 + sum |l_i l_j| <=
+p2 + sqrt(d_out (d_out - 1) (p2^2 - p4)), tight for rank-1 and flat spectra.
+p2^2 - p4 cancels at rank 1: each of p2 and p4 sums 2 d_out^2 squares and each
+entry of H^2 sums d_out complex products, so the difference is off by up to
+(3 d_out^2 + sqrt(2) d_out + 4) eps p2^2, and it gets a slack of
+``MOMENT_SLACK`` d_out^2 eps p2^2 (enough for d_out >= 3). The bound runs only
+when the Gram survivors outnumber ``MOMENT_CROSSOVER``: below that one batched
+``eigvalsh`` costs less than the bound.
+
+Both keep every pair within ``PRUNE_MARGIN`` of the floor; the survivors are
+eigendecomposed in batches of ``ENTRY_BUDGET`` entries. Either way the first
+maximum in (receiver probe, sender pair) row-major order wins. The winner's
+separation is replayed on the Kraus operators with ``_trace_distance``, so a
+qubit-receiver scan makes no LAPACK call at all.
 
 Scope note: only trace-preserving operations are modeled. The signaling
 notion also makes sense for trace-decreasing operations (with renormalized
@@ -56,10 +73,14 @@ from .linalg import (
 B_TO_A = "BtoA"
 A_TO_B = "AtoB"
 SEARCH_THRESHOLD = 1e-6
-# Relative slack on the trace-norm bound of the witness scan, far above rounding.
+# Relative slack on the trace-norm bounds of the witness scan, far above rounding.
 PRUNE_MARGIN = 1e-9
 # The scan's slack on ||X||_F^2 in d_out^2 eps (G_ii + G_jj); its batch in complex entries.
 GRAM_SLACK, EPS, ENTRY_BUDGET = 4, float(np.finfo(float).eps), 1 << 16
+# The slack on p2^2 - p4 in d_out^2 eps p2^2, and the Gram survivor count above which
+# the fourth-moment bound runs. Both are rounding and cost, not tolerances: --tol does
+# not reach them, and neither changes a result.
+MOMENT_SLACK, MOMENT_CROSSOVER = 4, 16
 
 
 @dataclass(frozen=True)
@@ -152,8 +173,30 @@ def _probe_outputs(t: np.ndarray, recv_proj: np.ndarray, send_proj: np.ndarray) 
     return send_proj @ y.reshape(len(recv_proj), ds * ds, do * do)
 
 
-def _trace_distances(diffs: np.ndarray, d_out: int) -> np.ndarray:
-    return 0.5 * np.abs(np.linalg.eigvalsh(diffs.reshape(-1, d_out, d_out))).sum(axis=-1)
+def _trace_distances(diffs: np.ndarray) -> np.ndarray:
+    """``0.5 * ||H||_1`` of each square matrix H that ``eigvalsh`` reads from ``diffs``."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(diffs)).sum(axis=-1)
+
+
+def _moment_bounds(diffs: np.ndarray) -> np.ndarray:
+    """An upper bound on each of :func:`_trace_distances`, with no eigendecomposition.
+
+    H is the Hermitian matrix ``eigvalsh`` reads from each d x d matrix of
+    ``diffs``: the lower triangle, its real diagonal and the conjugate above.
+    With p2 = ||H||_F^2 and p4 = ||H^2||_F^2,
+    ``||H||_1^2 <= p2 + sqrt(d (d - 1) (p2^2 - p4))``, with ``MOMENT_SLACK``
+    on the cancelling difference (see the module docstring).
+    """
+    n, d = len(diffs), diffs.shape[-1]
+    h = np.where(np.tri(d, dtype=bool), diffs, diffs.conj().swapaxes(1, 2))
+    h.reshape(n, d * d).imag[:, ::d + 1] = 0
+    f = h.reshape(n, -1).view(float)
+    p2 = np.einsum("ij,ij->i", f, f)
+    f = (h @ h).reshape(n, -1).view(float)
+    p4 = np.einsum("ij,ij->i", f, f)
+    square = p2 * p2
+    gap = np.maximum(square - p4, 0) + MOMENT_SLACK * d * d * EPS * square
+    return 0.5 * np.sqrt(p2 + np.sqrt(d * (d - 1) * gap))
 
 
 def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
@@ -164,8 +207,10 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     trace distance make the witness, the first in row-major (probe, pair)
     order on ties. At d_out = 2 every pair is scored in closed form; above
     that, only pairs whose Gram bound ``sqrt(d_out) ||X||_F / 2`` reaches the
-    floor within ``PRUNE_MARGIN`` are eigendecomposed (see the module
-    docstring). The witness's separation is recomputed from the Kraus
+    floor within ``PRUNE_MARGIN`` are eigendecomposed, and when more than
+    ``MOMENT_CROSSOVER`` do, only those whose fourth-moment bound
+    (:func:`_moment_bounds`, with its ``MOMENT_SLACK``) reaches it too; see the
+    module docstring. The witness's separation is recomputed from the Kraus
     operators, so it replays. Returns nothing when the best separation is at
     most ``SEARCH_THRESHOLD``: the channel then blocks signaling, or signals
     so weakly that no probe pair shows it above that threshold.
@@ -177,8 +222,8 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
     out = _probe_outputs(t, recv_proj, send_proj)
     p = q = q_alt = 0
     if len(first) and d_out == 2:
-        scores = _qubit_trace_norms(out[:, first] - out[:, second])  # (receiver probe, pair)
-        p, m = divmod(int(scores.argmax()), scores.shape[1])
+        scores = _qubit_trace_norms(out.take(first, axis=1) - out.take(second, axis=1))
+        p, m = divmod(int(scores.argmax()), scores.shape[1])  # (receiver probe, pair)
         q, q_alt = int(first[m]), int(second[m])
     elif len(first):
         flat = out.view(float)
@@ -189,14 +234,24 @@ def signaling_search(ch: KrausChannel, direction: str) -> SignalWitness | None:
                                                  + GRAM_SLACK * d_out ** 2 * EPS * scale)
         del gram, norms, scale  # 3 MB at 8x8, next to the batches
         r0, m0 = divmod(int(bound.argmax()), bound.shape[1])
-        top = out[r0, [first[m0], second[m0]]].reshape(2, d_out, d_out)
-        rows, pairs = np.nonzero(bound >= _trace_distance(*top) * (1 - PRUNE_MARGIN))
+        top = out[r0, first[m0]] - out[r0, second[m0]]
+        cut = float(_trace_distances(top.reshape(d_out, d_out))) * (1 - PRUNE_MARGIN)
+        rows, pairs = np.nonzero(bound >= cut)
         k = 0  # a lone candidate is the maximum: no eigendecomposition
         if len(rows) > 1:
-            step = ENTRY_BUDGET // d_out ** 2
-            batches = ((rows[i:i + step], pairs[i:i + step]) for i in range(0, len(rows), step))
-            k = int(np.concatenate([_trace_distances(out[r, first[m]] - out[r, second[m]], d_out)
-                                    for r, m in batches]).argmax())
+            step, best = ENTRY_BUDGET // d_out ** 2, -1.0
+            for i in range(0, len(rows), step):
+                r, m = rows[i:i + step], pairs[i:i + step]
+                diffs = (out[r, first[m]] - out[r, second[m]]).reshape(-1, d_out, d_out)
+                kept = np.arange(len(r))
+                if len(rows) > MOMENT_CROSSOVER:
+                    kept = np.flatnonzero(_moment_bounds(diffs) >= cut)
+                    diffs = diffs[kept]
+                if len(kept):  # the floor's own pair survives, so one batch keeps a pair
+                    scores = _trace_distances(diffs)
+                    j = int(scores.argmax())
+                    if scores[j] > best:
+                        best, k = scores[j], i + int(kept[j])
         p, q, q_alt = int(rows[k]), int(first[pairs[k]]), int(second[pairs[k]])
     phi, psi, psi_prime = recv[p].copy(), send[q].copy(), send[q_alt].copy()
     separation = _trace_distance(_receiver_output(ch.kraus, ch.dims, direction, phi, psi),

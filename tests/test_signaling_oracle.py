@@ -12,16 +12,21 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcausal import causality
 from qcausal.causality import (
     A_TO_B,
     B_TO_A,
+    ENTRY_BUDGET,
+    MOMENT_CROSSOVER,
     SEARCH_THRESHOLD,
     _ic_probes,
     _marginal,
+    _moment_bounds,
     _receiver_output,
+    _trace_distances,
     semicausal_test,
     signaling_search,
 )
@@ -95,7 +100,24 @@ def _fixture(name):
     return load_document(str(resources.files("qcausal") / "fixtures" / name))
 
 
-def test_search_matches_exhaustive_scan(near_causal_basis):
+@pytest.fixture
+def moment_shapes(monkeypatch):
+    """The shapes of the batches passed to ``causality._moment_bounds``, one per call."""
+    moment_bounds = causality._moment_bounds
+    shapes = []
+
+    def recording(diffs):
+        shapes.append(diffs.shape)
+        return moment_bounds(diffs)
+
+    monkeypatch.setattr(causality, "_moment_bounds", recording)
+    return shapes
+
+
+def test_search_matches_exhaustive_scan(near_causal_basis, moment_shapes):
+    """The scans include, for each d_out of 3, 4 and 8, one whose Gram survivors
+    outnumber ``MOMENT_CROSSOVER``, so the fourth-moment bound prunes them, and
+    at d_out = 8 one that does so in more than one batch."""
     rng = np.random.default_rng(8)
     cnot = np.array([[0, 1], [1, 0]], dtype=complex)
     phase_s = np.diag([1, 1j])
@@ -125,9 +147,15 @@ def test_search_matches_exhaustive_scan(near_causal_basis):
         ("controlled-H", _controlled_unitary(HADAMARD)),
         ("controlled-S", _controlled_unitary(phase_s)),
         ("controlled-HS", _controlled_unitary(HADAMARD @ phase_s)),
+        # Over MOMENT_CROSSOVER Gram survivors at d_out = 3 (haar-3x3 B->A), and at
+        # d_out = 8 in two batches (kraus-3x8-k1 A->B).
+        ("haar-3x3", KrausChannel((haar_unitary(9, rng),), BiDims(3, 3))),
+        ("kraus-3x8-k1", _random_kraus(BiDims(3, 8), 1, rng)),
     ]
     for name, ch in channels:
         _assert_search_matches_reference(name, ch)
+    assert {shape[-1] for shape in moment_shapes} == {3, 4, 8}, moment_shapes
+    assert (ENTRY_BUDGET // 64, 8, 8) in moment_shapes, moment_shapes
 
 
 @settings(max_examples=25, deadline=None)
@@ -159,6 +187,42 @@ def test_search_matches_exhaustive_scan_near_product_unitaries(na, nb, eps, seed
     u = near_identity @ tensor_product(haar_unitary(na, rng), haar_unitary(nb, rng))
     _assert_search_matches_reference(f"near-product {na}x{nb} eps={eps:g}",
                                      KrausChannel((u,), BiDims(na, nb)))
+
+
+def _spectral_case(d, kind, noise, seed):
+    """A d x d difference as the scan builds it: a Hermitian matrix with the
+    spectrum ``kind`` names, plus anti-Hermitian noise ``noise`` times a
+    Gaussian, which ``eigvalsh`` ignores above the diagonal but not below."""
+    rng = np.random.default_rng(seed)
+    lam = {
+        "flat": rng.choice([-1.0, 1.0], d),  # degenerate +-a: Cauchy-Schwarz is tight
+        "rank-1": np.eye(d)[0],  # p2^2 - p4 cancels to zero
+        "near-rank-1": np.r_[1.0, rng.choice([-1, 1]) * 10 ** rng.uniform(-9, -6), np.zeros(d - 2)],
+        "zero": np.zeros(d),
+        "random": rng.normal(size=d),
+    }[kind]
+    u = haar_unitary(d, rng)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (u * lam) @ u.conj().T + noise * (z - z.conj().T) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 4, 8]),
+       st.sampled_from(["flat", "rank-1", "near-rank-1", "zero", "random"]),
+       st.sampled_from([0.0, 1e-16, 1e-12, 1e-8]), st.integers(-40, 10),
+       st.integers(0, 2**32 - 1))
+@example(3, "near-rank-1", 0.0, -40, 32)
+@example(4, "near-rank-1", 1e-16, 0, 95)
+@example(8, "near-rank-1", 0.0, 10, 280)
+@example(4, "zero", 1e-16, 0, 0)
+def test_moment_bound_never_falls_below_the_trace_distance(d, kind, noise, exponent, seed):
+    """The fourth-moment bound with its slack, on the matrix ``eigvalsh`` reads.
+    Without ``MOMENT_SLACK`` the near-rank-1 examples fall below by 1.4e-8 to
+    1.9e-8 of the trace distance, over ten times ``PRUNE_MARGIN``. A bound on
+    the Hermitian part instead reads 0 on the last example, rounding noise alone,
+    as a scan of a channel that does not signal sees it."""
+    x = _spectral_case(d, kind, noise, seed)[None] * 2.0 ** exponent
+    assert _moment_bounds(x)[0] >= _trace_distances(x)[0]
 
 
 def test_8x8_scan_stays_within_memory_and_time():
@@ -211,14 +275,30 @@ def _scan_shapes(shapes, ch, direction):
 
 
 def test_search_eigendecomposes_fewer_than_half_of_the_pairs(eigvalsh_shapes):
+    """Fewer than half of all pairs, and fewer than half of the 125 (B->A) and
+    71 (A->B) eigendecompositions, floor and replay included, that the Gram
+    bound alone lets through: the fourth-moment bound prunes the rest."""
     rng = np.random.default_rng(17)
     ch = KrausChannel((haar_unitary(16, rng),), BiDims(4, 4))
     n_probes = 16
     pairs = n_probes * n_probes * (n_probes - 1) // 2  # receiver probes x sender pairs
-    for direction in (B_TO_A, A_TO_B):
+    for direction, gram_only in ((B_TO_A, 125), (A_TO_B, 71)):
         counted = sum(int(np.prod(shape[:-2])) for shape in
                       _scan_shapes(eigvalsh_shapes, ch, direction))
         assert counted < pairs / 2, (direction, counted, pairs)
+        assert counted < gram_only / 2, (direction, counted)
+
+
+def test_moment_stage_runs_only_above_the_crossover(eigvalsh_shapes, moment_shapes):
+    """controlled-2x3 at rng seed 2 keeps 4 Gram survivors A->B and haar-3x3 at
+    rng seed 8 keeps 23 B->A: one batched eigvalsh serves the first, the
+    fourth-moment stage the second, before one batched eigvalsh of fewer pairs."""
+    small = _controlled_unitary(haar_unitary(3, np.random.default_rng(2)))
+    assert len(_scan_shapes(eigvalsh_shapes, small, A_TO_B)) == 3 and moment_shapes == []
+    large = KrausChannel((haar_unitary(9, np.random.default_rng(8)),), BiDims(3, 3))
+    shapes = _scan_shapes(eigvalsh_shapes, large, B_TO_A)
+    assert moment_shapes == [(23, 3, 3)] and 23 > MOMENT_CROSSOVER
+    assert shapes[0] == shapes[-1] == (3, 3) and len(shapes) == 3 and shapes[1][0] < 23
 
 
 def test_one_candidate_2x2_scan_makes_no_eigvalsh_call(eigvalsh_shapes):
@@ -264,3 +344,21 @@ def test_probe_tables_are_cached_and_read_only():
         assert all(not arr.flags.writeable for arr in tables), d
     with pytest.raises(ValueError):
         _ic_probes(3)[0][0, 0] = 1.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND (CHANGES.md): probe pairs that tie in exact arithmetic are ranked by "
+    "rounding noise, so the closed-form scan and the eigvalsh oracle pick different "
+    "A->B witnesses; a tie margin taken in both would make them agree"))
+def test_controlled_2x2_witnesses_match_reference_across_seeds():
+    """A controlled Haar 2x2 unitary's A->B receiver probes |0> and |1> tie in
+    exact arithmetic; 17 of these 300 scans pick the other one today."""
+    differ = []
+    for seed in range(300):
+        ch = _controlled_unitary(haar_unitary(2, np.random.default_rng(seed)))
+        phi, psi, psi_prime, _ = reference_search(ch, A_TO_B)
+        found = signaling_search(ch, A_TO_B)
+        if not (np.array_equal(found.phi, phi) and np.array_equal(found.psi, psi)
+                and np.array_equal(found.psi_prime, psi_prime)):
+            differ.append(seed)
+    assert differ == []
