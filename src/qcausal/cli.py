@@ -288,42 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_classify(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace the full parse builds for ``classify PATH [--json] [--tol T]``.
-
-    Flags may come in any order and repeat, the last ``--tol`` winning. Any
-    other argv gives None: an option other than exactly ``--json`` or
-    ``--tol``, a ``--tol`` value that is missing or fails ``_tolerance`` (as
-    every value starting with a dash does), a second positional, or no path.
-    """
-    if not argv or argv[0] != "classify":
+    """The namespace the full parse builds for ``classify PATH`` and ``classify PATH
+    --json``, with PATH not starting with a dash; None for every other argv."""
+    if (len(argv) < 2 or argv[0] != "classify" or argv[1].startswith("-")
+            or argv[2:] not in ([], ["--json"])):
         return None
-    path, as_json, tol = None, False, ATOL
-    tokens = iter(argv[1:])
-    for token in tokens:
-        if token == "--json":
-            as_json = True
-        elif token == "--tol":
-            try:
-                tol = _tolerance(next(tokens))
-            except (StopIteration, ValueError, argparse.ArgumentTypeError):
-                return None
-        elif token.startswith("-") or path is not None:
-            return None
-        else:
-            path = token
-    if path is None:
-        return None
-    return argparse.Namespace(command="classify", path=path, json=as_json, tol=tol,
+    return argparse.Namespace(command="classify", path=argv[1], json=len(argv) == 3, tol=ATOL,
                               func=_cmd_classify)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` returns, for every argv it accepts.
 
-    ``_read_classify`` reads the plain classify command lines, with the same
-    output and exits. The build sub-parser alone reads a ``build`` command line,
-    intermixed (argparse cannot with sub-parsers), so generators may follow the
-    options, signed ones after ``--``. Every other argv goes to the full parse.
+    ``_read_classify`` reads the two classify command lines that scripts send,
+    ``classify PATH`` and ``classify PATH --json``, with the same output and
+    exits. The build sub-parser alone reads a ``build`` command line, intermixed
+    (argparse cannot with sub-parsers), so generators may follow the options,
+    signed ones after ``--``. Every other argv, ``--tol`` included, goes to the
+    full parse.
     """
     args = _read_classify(argv)
     if args is None and argv[:1] == ["build"]:

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 ATOL = 1e-9
+# Not --tol: it counts a state's Schmidt rank; the flatness check at the --tol bar then decides.
 SUPPORT_CUTOFF = 1e-9
 
 I2 = np.eye(2, dtype=complex)

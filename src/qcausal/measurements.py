@@ -53,8 +53,13 @@ class OrthogonalBasis:
 
     The vectors, given as a sequence or one (n, n) array whose row k is vector
     k, are copied once into the read-only (n, n) array that ``vectors`` then
-    holds. Tables derived from them (projectors, reduced states, pair norms,
-    Schmidt coefficients) are computed on first use and kept with the instance.
+    holds. They are admitted by one residual, their measurement's
+    trace-preservation deviation ``||B diag(w) B^dag - I||_F`` (B the vectors as
+    columns, w_k = ||b_k||^2), which is 0 exactly when n vectors in n dimensions
+    are orthonormal. It must lie under ``ATOL``, the trace-preservation bar at the
+    default ``--tol``, and is kept for ``measurement_validate``. Tables derived
+    from the vectors (projectors, reduced states, pair norms, Schmidt
+    coefficients) are computed on first use and kept with the instance.
     """
 
     vectors: np.ndarray
@@ -75,12 +80,14 @@ class OrthogonalBasis:
                     raise ValueError(f"basis vector length {v.shape[0]} != {n}")
             rows = np.stack(vecs)
         rows.flags.writeable = False
+        conj = rows.conj()
         with np.errstate(over="ignore", invalid="ignore"):
-            dev = frobenius(rows.conj() @ rows.T - _identity(n))
-        if not dev <= ATOL * n:  # a non-finite or overflowing entry makes dev inf or NaN
-            raise ValueError(f"basis is not orthonormal (Gram deviation {dev:.2e})")
+            w = (rows * conj).real.sum(axis=1)
+            dev = frobenius((rows.T * w) @ conj - _identity(n))
+        if not dev < ATOL:  # a non-finite or overflowing entry makes dev inf or NaN
+            raise ValueError(f"basis is not orthonormal (deviation {dev:.2e})")
         object.__setattr__(self, "vectors", rows)
-        object.__setattr__(self, "_cache", {})
+        object.__setattr__(self, "_cache", {"tp_deviation": dev})
 
     @property
     def size(self) -> int:
@@ -228,11 +235,9 @@ def semicausal_basis_test(basis: OrthogonalBasis, side: str, tol: float = ATOL) 
 
 
 def measurement_validate(basis: OrthogonalBasis, tol: float = ATOL) -> TPReport:
-    """``validate(measurement_channel(basis))`` from the vectors: with w_k = ||b_k||^2,
-    ``sum_k P_k^dag P_k`` is ``B diag(w) B^dag`` for the matrix B whose columns are the b_k."""
-    rows, conj = basis.vectors, basis.vectors.conj()  # finite and near unit norm by the Gram test
-    w = (rows * conj).real.sum(axis=1)
-    deviation = frobenius((rows.T * w) @ conj - _identity(len(rows)))
+    """``validate(measurement_channel(basis))`` from the vectors: the residual
+    ``||B diag(w) B^dag - I||_F`` that admitted the basis, compared with ``tol``."""
+    deviation = basis._cache["tp_deviation"]
     return TPReport(bool(deviation < tol), deviation)
 
 
@@ -277,8 +282,9 @@ def measurement_distance(ch: KrausChannel, basis: OrthogonalBasis) -> float:
     the squared distance is ||a a^dag - I||^2 + 2 ||a conj(O)||^2 + ||conj(O) O^T||^2:
     norms of products and of one entrywise difference, no difference of large
     squared norms. U is the inverse, not B^dag: the basis is orthonormal only
-    within the Gram bar, and B^dag would put an error of that size into the
-    picture, where the inverse's error stays relative to the distance.
+    within its admission bar (its trace-preservation residual under ``ATOL``), and
+    B^dag would put an error of that size into the picture, where the inverse's
+    error stays relative to the distance.
     """
     if ch.dims != basis.dims:
         raise ValueError("channel and basis have different dims")

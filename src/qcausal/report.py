@@ -6,13 +6,13 @@ reported as "obstructed" (with a certificate) or "by construction" (when
 cell dephasing plus a matched twirl reproduces the channel exactly);
 otherwise the report says that no obstruction was found, which is not a proof.
 
-A basis is classified in its own frame: trace preservation, the Choi-marginal
+A basis is classified in its own frame: trace preservation is the residual
+that admitted it (``measurements.measurement_validate``), and the Choi-marginal
 cross-check of each side and the grid-twirl distance are read from its vectors
-(``measurements.measurement_validate``, ``measurement_semicausal_test`` and
-``measurement_distance``). The measurement channel is built only where a step
-needs a channel: the 2x2 game value, the probe-search witness and the closure
-certificate. A channel input goes through ``validate``, ``semicausal_test`` and
-the probe search directly.
+(``measurement_semicausal_test`` and ``measurement_distance``). The
+measurement channel is built only where a step needs a channel: the 2x2 game
+value, the probe-search witness and the closure certificate. A channel input
+goes through ``validate``, ``semicausal_test`` and the probe search directly.
 """
 
 from __future__ import annotations

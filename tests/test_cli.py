@@ -184,7 +184,7 @@ def _without(doc: dict, key: str) -> str:
      _PAIRS + "int too large to convert to float\n"),
     # beyond numpy's integers but within a float's range: read as 1e30
     (_two_vector_basis(_vec(_E0)).replace("1.0", str(10**30), 1), 2,
-     "error: basis is not orthonormal (Gram deviation 1.00e+60)\n"),
+     "error: basis is not orthonormal (deviation 1.00e+120)\n"),
     (_two_vector_basis(_vec([[True, False], [False, False]]),
                        _vec([[False, False], [True, False]])), 0, ""),
     (_two_vector_basis({"rows": 1, "cols": 2, "data": _E0}), 2,
@@ -238,10 +238,10 @@ def _without(doc: dict, key: str) -> str:
      "error: matrix data length 2 != rows*cols = 18446744073709551617\n"),
     (json.dumps(dict(_BASIS, dimA=-(2**63) - 1)), 2,
      "error: dimensions must be >= 1, got BiDims(dim_a=-9223372036854775809, dim_b=2)\n"),
-    # finite entries whose squares overflow: the basis fails its Gram test, and the
+    # finite entries whose squares overflow: the basis fails its admission test, and the
     # channel is not trace preserving, an invariant failure; neither prints a warning
     (_two_vector_basis(_vec([[1e200, 0.0], [0.0, 0.0]])), 2,
-     "error: basis is not orthonormal (Gram deviation nan)\n"),
+     "error: basis is not orthonormal (deviation nan)\n"),
     (json.dumps({"dimA": 1, "dimB": 2, "kraus": [
         _vec([[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], rows=2, cols=2)]}), 3,
      "invariant failure: channel is not trace preserving (deviation nan)\n"),

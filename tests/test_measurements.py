@@ -253,9 +253,10 @@ def test_basis_takes_a_stack_as_one_copy():
        bad=st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200]))
 def test_basis_with_a_non_finite_or_overflowing_entry_is_rejected(dim_a, dim_b, seed, spot,
                                                                   imag, bad):
-    # a stack is decided by the Gram test alone; a vector sequence also passes
-    # through as_vector's own finiteness check. The error::RuntimeWarning filter
-    # turns any warning numpy leaks on the way into a failure.
+    # a stack is decided by its trace-preservation residual alone; a vector
+    # sequence also passes through as_vector's own finiteness check. The
+    # error::RuntimeWarning filter turns any warning numpy leaks on the way
+    # into a failure.
     dims = BiDims(dim_a, dim_b)
     rows = haar_basis(dims, np.random.default_rng(seed)).vectors.copy()
     i, j = divmod(spot % rows.size, rows.shape[1])

@@ -14,21 +14,25 @@ raises no more, but where it certifies, the residual can sit just above the
 bar ``tol * dim``: a near-tie verdict, without a margin or a flag. A strict
 xfail pins that too.
 
-The Gram bar of ``OrthogonalBasis`` is the same fault the other way round: it
-accepts a basis whose measurement is not trace preserving, so ``classify``
-exits 0 on the basis and 3 on its measurement channel.
+``OrthogonalBasis`` admits a basis by its measurement's trace-preservation
+residual, at the channel path's bar for the default ``--tol``, so every
+admitted basis is trace preserving there, and its measurement channel
+classifies.
 """
 
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcausal.channels import measurement_channel
-from qcausal.linalg import ATOL, BiDims
+from qcausal.channels import KrausChannel, measurement_channel, validate
+from qcausal.linalg import ATOL, BiDims, frobenius
 from qcausal.measurements import (
     OrthogonalBasis,
     causal_grid_basis,
+    haar_basis,
     measurement_validate,
     product_basis,
 )
@@ -92,15 +96,42 @@ def test_closure_certificate_clears_the_bar_or_is_flagged(case):
             assert cert["residual"] >= 10 * ATOL * basis.dims.total or cert.get("nearTie") is True
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="Gram bar and trace-preservation bar differ; ROADMAP direction 4")
 def test_accepted_basis_is_trace_preserving():
-    # every vector scaled by 1 + 6e-10: Gram deviation 2.4e-9 under the bar 4e-9,
-    # trace-preservation deviation 4.8e-9 over the bar 1e-9, so the basis report
-    # reads tp false and classify_channel on its measurement channel raises
+    # every vector scaled by 1 + 6e-10: trace-preservation deviation 4.8e-9 over
+    # the bar 1e-9. A Gram bar of ATOL * n admitted it (Gram deviation 2.4e-9),
+    # and the basis report then read tp false.
     dims = BiDims(2, 2)
     try:
         basis = OrthogonalBasis(product_basis(dims).vectors * (1 + 6e-10), dims)
     except ValueError:
         return  # rejected: no accepted basis fails trace preservation
     assert classify_basis(basis).tp
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim_a=st.integers(1, 4), dim_b=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["scaled", "hermitian", "entries"]), log_eps=st.floats(-11, -8))
+def test_admitted_basis_is_trace_preserving(dim_a, dim_b, seed, kind, log_eps):
+    # the basis is rejected exactly when the channel path's validate, on projectors
+    # built here from the same vectors, reads a deviation at or over ATOL
+    dims, eps = BiDims(dim_a, dim_b), 10.0 ** log_eps
+    rng = np.random.default_rng(seed)
+    rows, n = haar_basis(dims, rng).vectors, dims.total
+    if kind == "scaled":
+        rows = rows * (1 + eps)
+    else:
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if kind == "hermitian":
+            rows = rows @ (np.eye(n) + eps * (g + g.conj().T) / frobenius(g + g.conj().T)).T
+        else:
+            rows = rows + eps * g / frobenius(g)
+    projectors = rows[:, :, None] * rows.conj()[:, None, :]
+    deviation = validate(KrausChannel(projectors, dims)).deviation
+    try:
+        basis = OrthogonalBasis(rows, dims)
+    except ValueError:
+        assert deviation >= ATOL
+        return
+    assert deviation < ATOL
+    assert classify_basis(basis).tp
+    classify_channel(measurement_channel(basis))  # does not raise
